@@ -23,7 +23,6 @@ from repro.cluster import (
     cluster_workload,
     run_cluster_benchmark,
 )
-from repro.runtime import PoolOptions, ServiceOptions
 
 # The pinned seeded workload: cold-heavy (batch amortization dominates)
 # with a 25% hot share (coalescing + cache hits on repeat rooms).
@@ -95,13 +94,10 @@ def test_bench_cluster_routing_deterministic():
     scene, workload = cluster_workload(requests=32, **{
         k: v for k, v in WORKLOAD.items() if k != "requests"
     })
-    options = ClusterOptions(
-        shards=SHARDS,
-        service=ServiceOptions(pool=PoolOptions(max_workers=0)),
-    )
+    options = ClusterOptions(shards=SHARDS)
     a = ClusterController(scene, options=options)
     b = ClusterController(scene, options=options)
     for request in workload:
         key = a.fingerprint_for(request)
         assert key == b.fingerprint_for(request)
-        assert a.route(key)[0].shard_id == b.route(key)[0].shard_id
+        assert a.route(key).shard_id == b.route(key).shard_id

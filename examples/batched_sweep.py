@@ -83,8 +83,7 @@ def main() -> None:
     # --- 3. The fault-tolerance layer's view of the same service.
     health = service.health()
     print(
-        f"health {health['status']}, circuit {health['circuit']['state']}, "
-        f"degraded solves "
+        f"health {health['status']}, degraded solves "
         f"{health['resilience'].get('resilience.degraded_solves', 0):.0f}"
     )
 

@@ -223,12 +223,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--budget", type=float, default=1.2, help="power budget [W]"
     )
     bench_parser.add_argument(
-        "--workers",
-        type=int,
-        default=0,
-        help="solver pool processes (0 = solve in-process)",
-    )
-    bench_parser.add_argument(
         "--batch-size",
         type=int,
         default=1,
@@ -415,7 +409,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         default="heuristic",
         choices=("binary", "greedy", "heuristic", "optimal", "swing"),
     )
-    metrics_parser.add_argument("--workers", type=int, default=0)
     metrics_parser.add_argument("--seed", type=int, default=0)
     metrics_parser.add_argument(
         "--format",
@@ -476,12 +469,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     replay_parser.add_argument(
         "--shards", type=int, default=4, help="cluster shards"
-    )
-    replay_parser.add_argument(
-        "--workers",
-        type=int,
-        default=0,
-        help="solver pool processes (0 = solve in-process)",
     )
     replay_parser.add_argument("--cache-size", type=int, default=256)
     replay_parser.add_argument(
@@ -604,7 +591,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                 scenario_report = run_scenario_benchmark(
                     args.scenario,
                     seed=args.seed,
-                    workers=args.workers,
                     cache_capacity=args.cache_size,
                     slo=slo_tracker,
                 )
@@ -645,7 +631,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                 service = benchmark_service(
                     distinct_placements=args.distinct,
                     cache_capacity=args.cache_size,
-                    workers=args.workers,
                     seed=args.seed,
                     tracer=tracer,
                 )
@@ -654,7 +639,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                 distinct_placements=args.distinct,
                 solver=args.solver,
                 power_budget=args.budget,
-                workers=args.workers,
                 cache_capacity=args.cache_size,
                 batch_size=args.batch_size,
                 seed=args.seed,
@@ -762,7 +746,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                     scene,
                     options=ClusterOptions(
                         shards=args.shards,
-                        service=_shard_service_options(args.cache_size, 0),
+                        service=_shard_service_options(args.cache_size),
                     ),
                     tracer=cluster_tracer,
                 )
@@ -817,14 +801,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         try:
             service = benchmark_service(
                 distinct_placements=args.distinct,
-                workers=args.workers,
                 seed=args.seed,
             )
             run_benchmark(
                 requests=args.requests,
                 distinct_placements=args.distinct,
                 solver=args.solver,
-                workers=args.workers,
                 seed=args.seed,
                 service=service,
             )
@@ -891,7 +873,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                     shards=args.shards,
                     rate=args.rate,
                     cache_capacity=args.cache_size,
-                    workers=args.workers,
                     slo=slo_tracker,
                 )
             else:
@@ -907,7 +888,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                     mode=args.mode,
                     speed=args.speed,
                     rate=args.rate,
-                    workers=args.workers,
                     cache_capacity=args.cache_size,
                     tracer=tracer,
                     slo=slo_tracker,

@@ -4,9 +4,9 @@ Layers horizontal scale on :class:`~repro.runtime.service.AllocationService`:
 
 - :mod:`repro.cluster.sharding` -- the deterministic consistent-hash
   ring mapping scene fingerprints onto shards (virtual nodes, minimal
-  remap on membership change, spill past broken shards);
-- :mod:`repro.cluster.controller` -- shard lifecycle, breaker-aware
-  routing, cluster health and the shard-labeled Prometheus rollup;
+  remap on membership change);
+- :mod:`repro.cluster.controller` -- shard lifecycle, routing, cluster
+  health and the shard-labeled Prometheus rollup;
 - :mod:`repro.cluster.frontend` -- the asyncio ingestion front door:
   per-shard batching queues, single-flight coalescing of identical
   concurrent requests, deadline-aware admission control and load

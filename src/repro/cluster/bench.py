@@ -33,7 +33,6 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..errors import ClusterError, RequestShedError
-from ..runtime.pool import PoolOptions
 from ..runtime.service import (
     AllocationRequest,
     AllocationService,
@@ -221,11 +220,10 @@ class ClusterBenchReport:
         }
 
 
-def _shard_service_options(cache_capacity: int, workers: int) -> ServiceOptions:
+def _shard_service_options(cache_capacity: int) -> ServiceOptions:
     return ServiceOptions(
         channel_cache_capacity=cache_capacity,
         allocation_cache_capacity=4 * cache_capacity,
-        pool=PoolOptions(max_workers=workers),
     )
 
 
@@ -273,11 +271,10 @@ def _run_baseline(
     scene: Scene,
     workload: Sequence[AllocationRequest],
     cache_capacity: int,
-    workers: int,
 ) -> Tuple[float, List[float]]:
     """Sequential single-service sojourns for the same arrival burst."""
     service = AllocationService(
-        scene, options=_shard_service_options(cache_capacity, workers)
+        scene, options=_shard_service_options(cache_capacity)
     )
     sojourns: List[float] = []
     start = time.perf_counter()
@@ -299,8 +296,8 @@ def _per_shard_stats(controller: ClusterController) -> Dict[str, Dict[str, float
     for shard in controller.shards():
         registry = shard.service.metrics
         sojourn = registry.histogram("frontend.sojourn_seconds")
-        # A shard may have served nothing (all its keys shed or routed
-        # around an open breaker); percentiles are undefined then.
+        # A shard may have served nothing (all its keys shed); its
+        # percentiles are undefined then.
         served_any = sojourn.count > 0
         stats[shard.shard_id] = {
             "requests": registry.counter("service.requests").value,
@@ -322,7 +319,6 @@ def run_cluster_benchmark(
     deadline_seconds: Optional[float] = None,
     batch_max: int = 16,
     cache_capacity: int = 256,
-    workers: int = 0,
     hot_rooms: int = 4,
     hot_fraction: float = 0.5,
     seed: int = 0,
@@ -373,6 +369,7 @@ def run_cluster_benchmark(
             raise ClusterError("an injected workload must be non-empty")
         workload = list(workload)
         requests = len(workload)
+        # The knee sweep regenerates traffic over this many placements.
         distinct_placements = len(
             {request.rx_positions_xy for request in workload}
         )
@@ -382,7 +379,7 @@ def run_cluster_benchmark(
             scene,
             options=ClusterOptions(
                 shards=shards,
-                service=_shard_service_options(cache_capacity, workers),
+                service=_shard_service_options(cache_capacity),
             ),
             tracer=tracer,
         )
@@ -414,7 +411,7 @@ def run_cluster_benchmark(
     report = ClusterBenchReport(
         shards=len(controller.shard_ids),
         requests=requests,
-        distinct_placements=min(max(1, distinct_placements), requests),
+        distinct_placements=len({r.rx_positions_xy for r in workload}),
         solver=solver,
         rate=rate,
         duration_seconds=duration,
@@ -437,7 +434,7 @@ def run_cluster_benchmark(
     )
     if baseline:
         base_duration, base_sojourns = _run_baseline(
-            scene, workload, cache_capacity, workers
+            scene, workload, cache_capacity
         )
         report.baseline_requests_per_second = (
             len(base_sojourns) / base_duration
@@ -461,7 +458,6 @@ def run_cluster_benchmark(
             deadline_seconds=deadline_seconds,
             batch_max=batch_max,
             cache_capacity=cache_capacity,
-            workers=workers,
             seed=seed,
             start_rate=max(100.0, report.requests_per_second / 4),
         )
@@ -516,7 +512,6 @@ def knee_sweep(
     deadline_seconds: Optional[float] = None,
     batch_max: int = 16,
     cache_capacity: int = 256,
-    workers: int = 0,
     seed: int = 0,
     start_rate: float = 100.0,
     growth: float = 2.0,
@@ -543,7 +538,6 @@ def knee_sweep(
             deadline_seconds=deadline_seconds,
             batch_max=batch_max,
             cache_capacity=cache_capacity,
-            workers=workers,
             seed=seed,
             baseline=False,
             knee=False,

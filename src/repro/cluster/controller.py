@@ -3,14 +3,11 @@
 :class:`ClusterController` owns N :class:`AllocationService` shards over
 one deployment scene.  Each shard is a fully independent engine -- its
 own channel/allocation caches, solver pool, resilience policy and
-metrics registry -- so shards never contend on locks and a broken shard
-cannot poison its neighbors.  The controller supplies what the shards
-cannot know individually:
+metrics registry -- so shards never contend on locks.  The controller
+supplies what the shards cannot know individually:
 
 - **routing**: scene fingerprints map onto shards through a
-  :class:`~repro.cluster.sharding.ConsistentHashRing`; a shard whose
-  circuit breaker is open is treated as unavailable and its keys spill
-  to the next ring position until the breaker closes again;
+  :class:`~repro.cluster.sharding.ConsistentHashRing`;
 - **lifecycle**: shards can be added and removed at runtime with the
   ring rebalancing deterministically (only the moved arcs change
   owners, so surviving shards keep their caches warm);
@@ -25,7 +22,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..analysis.lockgraph import monitored_lock
 from ..channel import AWGNNoise
@@ -72,11 +69,6 @@ class Shard:
 
     shard_id: str
     service: AllocationService
-
-    @property
-    def available(self) -> bool:
-        """Whether this shard's circuit breaker admits traffic."""
-        return self.service.resilience.breaker.available
 
 
 class ClusterController:
@@ -165,45 +157,18 @@ class ClusterController:
             self.options.service.quantum,
         )
 
-    def _unavailable(self) -> FrozenSet[str]:
-        return frozenset(
-            shard.shard_id for shard in self.shards() if not shard.available
-        )
-
-    def route(self, key: str) -> Tuple[Shard, bool]:
-        """The shard serving *key* right now, plus a spill flag.
-
-        The primary owner comes straight off the ring; when its circuit
-        breaker is open the key spills to the next healthy ring
-        position (``spilled=True``) so one broken pool degrades only
-        its own arc's latency, not the whole cluster's availability.
-        """
+    def route(self, key: str) -> Shard:
+        """The shard that owns *key* on the ring."""
         with self._lock:
-            primary = self._ring.route(key)
-            primary_shard = self._shards[primary]
-            if primary_shard.available:
-                return primary_shard, False
-            routed = self._ring.route(key, self._unavailable_locked())
-            spilled_shard = self._shards[routed]
-        self.metrics.counter("cluster.spills", to=routed).increment()
-        return spilled_shard, True
-
-    def _unavailable_locked(self) -> FrozenSet[str]:
-        return frozenset(
-            shard_id
-            for shard_id, shard in self._shards.items()
-            if not shard.available
-        )
+            return self._shards[self._ring.route(key)]
 
     # -- rollups --------------------------------------------------------
 
     def health(self) -> dict:
         """Every shard's atomic health snapshot under one cluster status.
 
-        ``status`` is ``"ok"`` when every shard is ok, ``"degraded"``
-        when at least one shard is coping through its breaker, and
-        ``"critical"`` when *no* shard is available (requests have
-        nowhere to spill).
+        ``status`` is ``"ok"`` when every shard is ok and ``"degraded"``
+        when at least one shard's SLO error budget is exhausted.
         """
         shards = self.shards()
         per_shard = {
@@ -214,17 +179,9 @@ class ClusterController:
             for shard_id, report in per_shard.items()
             if report["status"] != "ok"
         ]
-        available = [shard.shard_id for shard in shards if shard.available]
-        if not available:
-            status = "critical"
-        elif degraded:
-            status = "degraded"
-        else:
-            status = "ok"
         return {
-            "status": status,
+            "status": "degraded" if degraded else "ok",
             "shard_count": len(per_shard),
-            "available_shards": len(available),
             "degraded_shards": degraded,
             "shards": per_shard,
         }

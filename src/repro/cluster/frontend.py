@@ -4,12 +4,12 @@
 :class:`~repro.cluster.controller.ClusterController`'s shards:
 
 - **routing**: each request's scene fingerprint picks its shard off the
-  consistent-hash ring (spilling past shards whose breaker is open);
+  consistent-hash ring;
 - **batching**: every shard has its own asyncio queue and worker; the
   worker drains whatever is queued (up to ``batch_max``) into a single
   :meth:`~repro.runtime.service.AllocationService.handle_batch` call,
-  so concurrent arrivals amortize the channel broadcast and pool
-  fan-out exactly like the offline benchmark batches do;
+  so concurrent arrivals amortize the channel broadcast and solves
+  exactly like the offline benchmark batches do;
 - **coalescing**: concurrent requests with an identical coalescing key
   (fingerprint, budget, solver, kappa) collapse onto one in-flight
   future -- one solve, N identical results;
@@ -257,7 +257,7 @@ class ClusterFrontend:
         # Routing is a pure consistent-hash shard pick and takes no
         # budget by design: admission control right below consumes the
         # deadline against the routed shard's queue estimate.
-        shard, spilled = self.controller.route(fingerprint)  # repro: allow[R7]
+        shard = self.controller.route(fingerprint)  # repro: allow[R7]
         route_end = time.perf_counter()
         queue = self._queues.get(shard.shard_id)
         if queue is None:
@@ -273,7 +273,6 @@ class ClusterFrontend:
                 "frontdoor",
                 shard=shard.shard_id,
                 fingerprint=fingerprint,
-                spilled=spilled,
             )
             if root is not None:
                 self.tracer.record_span(

@@ -15,25 +15,17 @@ consistent-hash ring:
 - routing is a pure function of ``(seed, shard ids, key)``: positions
   come from blake2b hashes, never a RNG, so the same fingerprint maps
   to the same shard in every process and every run.
-
-Broken shards do not leave the ring: :meth:`ConsistentHashRing.route`
-takes the set of currently unavailable shards (circuit breaker open)
-and walks past their tokens, spilling the key to the next healthy ring
-position.  When the shard recovers, the key falls back to its primary
-position automatically -- no rebalance event required.
 """
 
 from __future__ import annotations
 
 import hashlib
 from bisect import bisect_right, insort
-from typing import AbstractSet, FrozenSet, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from ..errors import ClusterError
 
 __all__ = ["ConsistentHashRing"]
-
-_EMPTY: FrozenSet[str] = frozenset()
 
 
 def _ring_position(seed: int, label: str) -> int:
@@ -102,37 +94,19 @@ class ConsistentHashRing:
         """The deterministic ring position of a routing key."""
         return _ring_position(self.seed, f"key:{key}")
 
-    def route(
-        self, key: str, unavailable: AbstractSet[str] = _EMPTY
-    ) -> str:
-        """The shard owning *key*, skipping *unavailable* shards.
+    def route(self, key: str) -> str:
+        """The shard owning *key*: the first token clockwise of it.
 
-        Walks clockwise from the key's position to the first token
-        whose shard is available.  With every shard unavailable (or an
-        empty ring) there is nowhere to route, which is a hard error --
-        the caller decides whether that sheds or raises to the user.
+        An empty ring has nowhere to route, which is a hard error.
         """
         if not self._tokens:
             raise ClusterError("cannot route on an empty ring")
-        if unavailable:
-            healthy = [s for s in self._shards if s not in unavailable]
-            if not healthy:
-                raise ClusterError(
-                    f"no healthy shard for key {key!r}: all "
-                    f"{len(self._shards)} shard(s) unavailable"
-                )
         position = self.key_position(key)
         # Successor token: strictly after every token at `position`
         # (shard ids sort below the ￿ sentinel).
         index = bisect_right(self._tokens, (position, "￿"))
-        for step in range(len(self._tokens)):
-            _, shard_id = self._tokens[(index + step) % len(self._tokens)]
-            if shard_id not in unavailable:
-                return shard_id
-        raise ClusterError(f"no healthy shard for key {key!r}")
+        return self._tokens[index % len(self._tokens)][1]
 
-    def assignment(
-        self, keys: Sequence[str], unavailable: AbstractSet[str] = _EMPTY
-    ) -> dict:
+    def assignment(self, keys: Sequence[str]) -> dict:
         """``{key: shard}`` for a batch of keys (testing/inspection)."""
-        return {key: self.route(key, unavailable) for key in keys}
+        return {key: self.route(key) for key in keys}

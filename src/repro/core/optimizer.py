@@ -43,6 +43,10 @@ from .heuristic import RankingHeuristic
 from .problem import UTILITY_FLOOR, AllocationProblem
 from .reduction import ReductionPlan, plan_reduction
 
+#: Utility gain [nats] below which a descent counts as never having left
+#: its start (SLSQP ends within ~1e-9 of a stationary start).
+_STALL_TOLERANCE = 1e-6
+
 
 @dataclass(frozen=True)
 class OptimizerOptions:
@@ -259,6 +263,10 @@ class ContinuousOptimizer:
 
         Each budget's solution seeds the next one, which both speeds the
         sweep up and produces the smooth swing trajectories of Fig. 9.
+        The anchor and restarts run at every budget even when the warm
+        start dominates them: the figures this sweep feeds must match
+        per-budget solves, and a warm descent cannot switch on the new
+        beamspots a larger budget affords.
         """
         allocations: List[Allocation] = []
         previous: Optional[np.ndarray] = None
@@ -279,7 +287,9 @@ class ContinuousOptimizer:
                 else self.options
             )
             try:
-                allocation = self._solve_instance(scoped, options)
+                allocation = self._solve_instance(
+                    scoped, options, skip_dominated=False
+                )
             except OptimizationError as error:
                 raise OptimizationError(
                     f"SLSQP failed at budget {budget} in the sweep"
@@ -300,7 +310,10 @@ class ContinuousOptimizer:
             self.metrics.counter(name).increment()
 
     def _solve_instance(
-        self, problem: AllocationProblem, options: OptimizerOptions
+        self,
+        problem: AllocationProblem,
+        options: OptimizerOptions,
+        skip_dominated: bool = True,
     ) -> Allocation:
         heuristic = RankingHeuristic().solve(problem)
         if options.reduce:
@@ -322,7 +335,7 @@ class ContinuousOptimizer:
                     )
                 with self._timer("optimizer.reduced_solve_seconds"):
                     best = self._best_over_starts(
-                        problem, options, heuristic, plan
+                        problem, options, heuristic, plan, skip_dominated
                     )
                 if best is not None and problem.utility(best) >= (
                     heuristic.utility - options.reduction_utility_slack
@@ -335,7 +348,9 @@ class ContinuousOptimizer:
                 # solve failed -- run the full program.
                 self._count("optimizer.fallbacks")
         with self._timer("optimizer.full_solve_seconds"):
-            best = self._best_over_starts(problem, options, heuristic, None)
+            best = self._best_over_starts(
+                problem, options, heuristic, None, skip_dominated
+            )
         if best is None:
             raise OptimizationError(
                 "SLSQP failed to produce a feasible allocation from any start"
@@ -348,11 +363,70 @@ class ContinuousOptimizer:
         options: OptimizerOptions,
         heuristic: Allocation,
         plan: Optional[ReductionPlan],
+        skip_dominated: bool,
     ) -> Optional[np.ndarray]:
         support = _Support(problem, options, plan)
-        starts = self._initial_points(problem, options, heuristic, support)
-        best: Optional[np.ndarray] = None
-        best_utility = -math.inf
+        max_swing = problem.led.max_swing
+        starts: List[np.ndarray] = []
+        if options.warm_start is not None:
+            warm = np.asarray(options.warm_start, dtype=float)
+            if warm.shape != problem.channel.shape:
+                raise OptimizationError(
+                    f"warm start shape {warm.shape} does not match problem "
+                    f"shape {problem.channel.shape}"
+                )
+            starts.append(
+                self._fit_budget(
+                    problem, support.restrict(warm / max_swing), support, options
+                )
+            )
+            if skip_dominated and problem.utility(warm) >= heuristic.utility:
+                # The warm start already dominates the ranking anchor:
+                # every remaining start is the anchor or a perturbation
+                # of it, and each one costs a full SLSQP descent toward
+                # a solution the warm point starts at or above.
+                start = support.expand(
+                    starts[0], problem.num_transmitters, problem.num_receivers
+                )
+                start_utility = problem.utility(start * max_swing)
+                best = self._best_from(problem, starts, support, options)
+                if best is not None and (
+                    problem.utility(best) > start_utility + _STALL_TOLERANCE
+                ):
+                    if self.metrics is not None:
+                        self.metrics.counter(
+                            "optimizer.starts_skipped"
+                        ).increment(1 + options.restarts)
+                    return best
+                # The skip is a speed-up only: it must never fail, or
+                # land lower, where the full start set would not.  Fall
+                # back to the anchor and restarts when the lone warm
+                # descent ended infeasible, or never left its start --
+                # the utility gradient of a swing is proportional to
+                # the swing, so a warm point with zero entries cannot
+                # switch on the beamspots a larger budget affords.
+                if self.metrics is not None:
+                    self.metrics.counter("optimizer.skip_fallbacks").increment()
+                return self._best_from(
+                    problem,
+                    self._anchor_points(problem, options, heuristic, support),
+                    support,
+                    options,
+                    best,
+                )
+        starts.extend(self._anchor_points(problem, options, heuristic, support))
+        return self._best_from(problem, starts, support, options)
+
+    def _best_from(
+        self,
+        problem: AllocationProblem,
+        starts: List[np.ndarray],
+        support: _Support,
+        options: OptimizerOptions,
+        best: Optional[np.ndarray] = None,
+    ) -> Optional[np.ndarray]:
+        """The best feasible local optimum over *starts* and *best*."""
+        best_utility = -math.inf if best is None else problem.utility(best)
         for x0 in starts:
             swings = self._solve_from(problem, x0, support, options)
             if swings is None:
@@ -363,44 +437,19 @@ class ContinuousOptimizer:
                 best = swings
         return best
 
-    def _initial_points(
+    def _anchor_points(
         self,
         problem: AllocationProblem,
         options: OptimizerOptions,
         heuristic: Allocation,
         support: _Support,
     ) -> List[np.ndarray]:
+        """The ranking-heuristic anchor plus its perturbed restarts."""
         rng = np.random.default_rng(options.seed)
-        max_swing = problem.led.max_swing
-        points: List[np.ndarray] = []
-        if options.warm_start is not None:
-            warm = np.asarray(options.warm_start, dtype=float)
-            if warm.shape != problem.channel.shape:
-                raise OptimizationError(
-                    f"warm start shape {warm.shape} does not match problem "
-                    f"shape {problem.channel.shape}"
-                )
-            points.append(
-                self._fit_budget(
-                    problem, support.restrict(warm / max_swing), support, options
-                )
-            )
-            if problem.utility(warm) >= heuristic.utility:
-                # The warm start already dominates the ranking anchor:
-                # every remaining start is the anchor or a perturbation
-                # of it, and each one costs a full SLSQP descent toward
-                # a solution the warm point starts at or above.
-                skipped = 1 + options.restarts
-                if self.metrics is not None:
-                    self.metrics.counter("optimizer.starts_skipped").increment(
-                        skipped
-                    )
-                return points
-
         # Heuristic structure, scaled into the budget interior.
-        base = support.restrict(heuristic.swings / max_swing)
+        base = support.restrict(heuristic.swings / problem.led.max_swing)
         seeded = base * 0.8 + 5e-3
-        points.append(self._fit_budget(problem, seeded, support, options))
+        points = [self._fit_budget(problem, seeded, support, options)]
 
         # Perturbed restarts.
         for _ in range(options.restarts):

@@ -62,7 +62,3 @@ class RequestShedError(ClusterError):
 
 class DeadlineExceeded(RuntimeEngineError):
     """A request's deadline expired before its solve completed."""
-
-
-class CircuitOpenError(RuntimeEngineError):
-    """The resilience circuit breaker is open and fast-failing calls."""

@@ -33,7 +33,6 @@ import time
 from typing import Any, Dict, List, Optional
 
 from ..errors import ConfigurationError
-from ..runtime.pool import PoolOptions
 from ..runtime.service import (
     AllocationResult,
     AllocationService,
@@ -105,7 +104,6 @@ def replay_service(
     mode: str = "closed",
     speed: float = 1.0,
     rate: float = 0.0,
-    workers: int = 0,
     cache_capacity: int = 256,
     tracer: Optional[Tracer] = None,
     slo: Optional[SLOObserver] = None,
@@ -127,7 +125,6 @@ def replay_service(
         options=ServiceOptions(
             channel_cache_capacity=cache_capacity,
             allocation_cache_capacity=4 * cache_capacity,
-            pool=PoolOptions(max_workers=workers),
             faults=instance.fault_plan,
         ),
         tracer=tracer,
@@ -205,7 +202,6 @@ def replay_cluster(
     rate: float = 0.0,
     batch_max: int = 16,
     cache_capacity: int = 256,
-    workers: int = 0,
     tracer: Optional[Tracer] = None,
     slo: Optional[SLOObserver] = None,
 ) -> PerfReport:
@@ -228,7 +224,6 @@ def replay_cluster(
         rate=rate,
         batch_max=batch_max,
         cache_capacity=cache_capacity,
-        workers=workers,
         seed=replayer.trace.seed,
         baseline=False,
         knee=False,

@@ -1,4 +1,4 @@
-"""The allocation-serving runtime: batched, cached, parallel.
+"""The allocation-serving runtime: batched, cached, deadline-bounded.
 
 Turns the per-call experiment code into a high-throughput engine:
 
@@ -6,18 +6,19 @@ Turns the per-call experiment code into a high-throughput engine:
   scene fingerprints;
 - :mod:`repro.runtime.batch` -- one-broadcast channel/SINR evaluation
   for stacks of placements and allocations;
-- :mod:`repro.runtime.pool` -- deterministic process-pool fan-out of
-  allocation solves;
+- :mod:`repro.runtime.pool` -- deterministic in-process execution of
+  allocation solves, deadline-bounded and degrading down the solver
+  chain;
 - :mod:`repro.runtime.metrics` -- labeled counters/gauges/histograms
   exported as a dict snapshot or Prometheus text;
 - :mod:`repro.runtime.tracing` -- deterministic, sampling-aware request
   span trees with Chrome-trace/Perfetto and JSON-lines export;
-- :mod:`repro.runtime.resilience` -- deadlines, retry/backoff, the
-  circuit breaker and the solver degradation chain;
+- :mod:`repro.runtime.resilience` -- deadlines and the solver
+  degradation chain;
 - :mod:`repro.runtime.faults` -- the seedable fault-injection harness
   driving the chaos tests;
 - :mod:`repro.runtime.service` -- the :class:`AllocationService`
-  facade routing requests through cache -> batch -> pool, wired into
+  facade routing requests through cache -> batch -> solve, wired into
   the CLI as ``repro bench``.
 """
 
@@ -47,11 +48,9 @@ from .pool import (
 )
 from .resilience import (
     DEGRADATION_CHAIN,
-    CircuitBreaker,
     Deadline,
     ResilienceOptions,
     ResiliencePolicy,
-    RetryPolicy,
     degradation_fallbacks,
 )
 from .service import (
@@ -68,7 +67,6 @@ from .tracing import (
     SpanRecorder,
     Tracer,
     TracingOptions,
-    trace_context_for,
 )
 from ..tracecontext import Span, add_span_attributes, current_span
 
@@ -94,11 +92,9 @@ __all__ = [
     "solve_task",
     "FaultPlan",
     "DEGRADATION_CHAIN",
-    "CircuitBreaker",
     "Deadline",
     "ResilienceOptions",
     "ResiliencePolicy",
-    "RetryPolicy",
     "degradation_fallbacks",
     "AllocationRequest",
     "AllocationResult",
@@ -111,7 +107,6 @@ __all__ = [
     "SpanRecorder",
     "Tracer",
     "TracingOptions",
-    "trace_context_for",
     "Span",
     "add_span_attributes",
     "current_span",

@@ -1,26 +1,24 @@
 """Seedable fault injection for the allocation-serving runtime.
 
 A deployed serving system meets failures the DenseVLC testbed never
-sees: solver workers die, a solve wedges, a channel matrix arrives
-corrupted.  :class:`FaultPlan` injects exactly those faults on demand --
+sees: a solve wedges, a channel matrix arrives corrupted.
+:class:`FaultPlan` injects exactly those faults on demand --
 deterministically, from a seed -- so the chaos tests can drive the
-resilience layer through worker-crash, hung-solve and corrupted-channel
-scenarios and assert the service still returns a (possibly degraded)
-result for every request.
+resilience layer through hung-solve and corrupted-channel scenarios and
+assert the service still returns a (possibly degraded) result for every
+request.
 
 Every decision is a pure hash of ``(seed, kind, key, attempt)``: the
-same plan against the same workload injects the same faults, in or out
-of worker processes, so chaos runs are reproducible bit-for-bit.  By
-default faults fire only on ``attempt`` numbers below
-``fault_attempts``, which models the most common real-world shape --
-transient failures that a retry or recompute clears.
+same plan against the same workload injects the same faults, so chaos
+runs are reproducible bit-for-bit.  By default faults fire only on
+``attempt`` numbers below ``fault_attempts``, which models the most
+common real-world shape -- transient failures that a fallback or
+recompute clears.
 """
 
 from __future__ import annotations
 
 import hashlib
-import multiprocessing
-import os
 import time
 from dataclasses import dataclass
 from typing import Hashable
@@ -45,11 +43,6 @@ class FaultPlan:
 
     Attributes:
         seed: root of every fault decision; same seed -> same faults.
-        worker_crash_probability: chance a pool worker hard-exits
-            mid-solve (surfaces as ``BrokenProcessPool`` in the parent).
-            Only fires inside worker processes -- in-process solves
-            ignore it, which is exactly how the circuit breaker's
-            serial fallback escapes the fault.
         slow_solve_probability: chance a solve sleeps
             ``slow_solve_seconds`` before running (models a wedged
             SLSQP iteration; surfaces as a task timeout upstream).
@@ -58,11 +51,10 @@ class FaultPlan:
             matrix gets a NaN burned into it (models a corrupted
             estimate; the service detects and recomputes).
         fault_attempts: faults fire only on attempts < this value, so
-            retries/recomputes (attempt >= 1 by default) run clean.
+            fallbacks/recomputes (attempt >= 1 by default) run clean.
     """
 
     seed: int = 0
-    worker_crash_probability: float = 0.0
     slow_solve_probability: float = 0.0
     slow_solve_seconds: float = 0.2
     corrupt_channel_probability: float = 0.0
@@ -70,7 +62,6 @@ class FaultPlan:
 
     def __post_init__(self) -> None:
         for name in (
-            "worker_crash_probability",
             "slow_solve_probability",
             "corrupt_channel_probability",
         ):
@@ -94,19 +85,6 @@ class FaultPlan:
         if probability <= 0.0 or attempt >= self.fault_attempts:
             return False
         return hash_unit(self.seed, kind, key, attempt) < probability
-
-    def maybe_crash_worker(self, key: Hashable, attempt: int = 0) -> None:
-        """Hard-exit the current *worker* process if the plan says so.
-
-        A no-op in the main process: an in-process solve cannot
-        "crash a worker", and killing the interpreter would take the
-        service down with it.
-        """
-        if not self._fires("crash", key, attempt, self.worker_crash_probability):
-            return
-        if multiprocessing.current_process().name == "MainProcess":
-            return
-        os._exit(1)
 
     def maybe_slow_solve(self, key: Hashable, attempt: int = 0) -> float:
         """Sleep out an injected stall; returns the seconds slept.

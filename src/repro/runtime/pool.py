@@ -1,35 +1,26 @@
-"""Process-pool fan-out for allocation solves.
+"""In-process execution of allocation solves.
 
-Allocation solves are embarrassingly parallel across requests: every
-task is a pure function of ``(channel, budget, solver, parameters)``.
-:class:`SolverPool` fans :class:`SolveTask` batches across a
-``ProcessPoolExecutor`` with a per-task timeout, bounded retries when a
-worker crashes or times out, and results returned in submission order
--- so parallel output is bit-identical to a serial run.
+Every task is a pure function of ``(channel, budget, solver,
+parameters)``.  :class:`SolverPool` solves :class:`SolveTask` batches
+one after another in the calling thread and returns the results in
+submission order.
 
-With a :class:`~repro.runtime.resilience.ResiliencePolicy` attached the
-pool additionally honors per-task deadlines, backs off between retries
-(deterministic jitter), routes whole batches to the in-process serial
-path while the circuit breaker is open, and falls down the solver
-degradation chain (``optimal -> swing -> binary -> greedy ->
-heuristic``) when a solve times out or fails to converge -- callers get
-the best cheaper allocation, flagged as degraded, instead of an
+A task that carries a deadline runs on a helper thread bounded by the
+remaining budget (and the pool's ``task_timeout``).  With a
+:class:`~repro.runtime.resilience.ResiliencePolicy` attached, a solve
+that times out or fails to converge falls down the solver degradation
+chain (``optimal -> swing -> binary -> greedy -> heuristic``): callers
+get the best cheaper allocation, flagged as degraded, instead of an
 exception.
 
 Solvers are looked up by name in :data:`SOLVERS` (``"heuristic"``,
-``"greedy"``, ``"optimal"``, ``"swing"``, ``"binary"``) so tasks stay
-picklable.
+``"greedy"``, ``"optimal"``, ``"swing"``, ``"binary"``).
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import (
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-    TimeoutError as FutureTimeout,
-)
-from concurrent.futures.process import BrokenProcessPool
+from concurrent.futures import ThreadPoolExecutor, TimeoutError as FutureTimeout
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, Hashable, List, Optional, Sequence
 
@@ -60,9 +51,6 @@ from .tracing import SpanRecorder, shift_payload
 class SolveTask:
     """One allocation solve: a problem instance plus solver selection.
 
-    Everything is a plain dataclass/ndarray so tasks cross process
-    boundaries without custom reducers.
-
     ``warm_start`` is an optional (N, M) swing matrix that seeds SLSQP
     for the ``optimal``/``binary`` solvers and the combinatorial
     ``swing`` search (where its binary projection competes with the
@@ -73,14 +61,14 @@ class SolveTask:
     fallback).
 
     ``deadline`` is an absolute :func:`time.monotonic` timestamp (the
-    request's remaining budget, set by the service); it is enforced by
-    the submitting process, never by workers.  ``faults``/``fault_key``
-    hook the seedable chaos harness (:class:`FaultPlan`) into the solve.
+    request's remaining budget, set by the service).  ``faults``/
+    ``fault_key`` hook the seedable chaos harness (:class:`FaultPlan`)
+    into the solve.
 
     ``traced`` asks for a span payload: the solve runs inside a
-    :class:`~repro.runtime.tracing.SpanRecorder` span (in-process or in
-    the worker), and :class:`SolveOutcome.spans` carries the captured
-    spans back so the service can attach them to the request trace.
+    :class:`~repro.runtime.tracing.SpanRecorder` span, and
+    :class:`SolveOutcome.spans` carries the captured spans back so the
+    service can attach them to every request trace the solve serves.
     Untraced tasks take exactly the pre-tracing code path.
     """
 
@@ -137,24 +125,19 @@ class SolveOutcome:
         solver: the solver that actually produced *swings*.
         requested_solver: the solver the task asked for.
         degraded: True when *solver* is a degradation-chain fallback.
-        retries: solve attempts beyond the first.
         deadline_exceeded: the task's deadline expired along the way
             (the result is the best allocation the remaining budget
             could buy).
-        circuit_open: the batch was routed to the in-process serial
-            path because the circuit breaker refused the pool.
         spans: span payload dicts captured around every solve attempt
-            (only for ``traced`` tasks; times are on the submitting
-            process's ``perf_counter`` clock).
+            (only for ``traced`` tasks; times are on the
+            ``perf_counter`` clock).
     """
 
     swings: np.ndarray
     solver: str
     requested_solver: str
     degraded: bool = False
-    retries: int = 0
     deadline_exceeded: bool = False
-    circuit_open: bool = False
     spans: "tuple[dict, ...]" = ()
 
 
@@ -180,7 +163,7 @@ def _solve_swing(task: SolveTask, metrics=None) -> Allocation:
     return solve_swing(task.problem(), task.swing_options(), metrics=metrics)
 
 
-#: Solver name -> callable; tasks reference solvers by name so they pickle.
+#: Solver name -> callable; tasks reference solvers by name.
 SOLVERS: Dict[str, Callable[..., Allocation]] = {
     "heuristic": _solve_heuristic,
     "greedy": _solve_greedy,
@@ -197,12 +180,10 @@ def solve_task(
 ) -> np.ndarray:
     """Execute one task, returning the solved swing matrix.
 
-    Module-level so worker processes can unpickle the reference.  The
-    optional *metrics* registry receives the optimizer's per-stage
-    timings; it is only threaded through on the serial in-process path
-    (worker processes would record into a throwaway registry).
-    *attempt* numbers re-executions of the same task so the fault plan
-    can fire on first attempts and clear on retries.
+    The optional *metrics* registry receives the optimizer's per-stage
+    timings.  *attempt* numbers executions of the same task (the first
+    solve, then each degradation fallback) so the fault plan can fire
+    on first attempts and clear afterwards.
     """
     try:
         solver = SOLVERS[task.solver]
@@ -211,7 +192,6 @@ def solve_task(
             f"unknown solver {task.solver!r}; available: {sorted(SOLVERS)}"
         ) from None
     if task.faults is not None:
-        task.faults.maybe_crash_worker(task.fault_key, attempt)
         task.faults.maybe_slow_solve(task.fault_key, attempt)
     return solver(task, metrics=metrics).swings
 
@@ -223,11 +203,10 @@ def solve_task_traced(
 ) -> "tuple[np.ndarray, list]":
     """Execute one task inside a recorded span; returns (swings, payload).
 
-    Module-level so worker processes can unpickle the reference.  The
-    payload is a list of plain span dicts with times relative to this
-    call (see :class:`~repro.runtime.tracing.SpanRecorder`); the
-    submitting process shifts them onto its own clock.  Running inside
-    the recorder's span also routes optimizer introspection
+    The payload is a list of plain span dicts with times relative to
+    this call (see :class:`~repro.runtime.tracing.SpanRecorder`); the
+    caller shifts them onto its own clock.  Running inside the
+    recorder's span also routes optimizer introspection
     (:func:`repro.tracecontext.add_span_attributes`) into the payload.
     """
     recorder = SpanRecorder()
@@ -244,40 +223,27 @@ class PoolOptions:
     """Knobs for :class:`SolverPool`.
 
     Attributes:
-        max_workers: worker processes; 0 or 1 solves serially in-process
-            (the right choice on single-core hosts and for tiny batches).
-        task_timeout: per-task wall-clock limit [s] before the bounded
-            retry/degradation path kicks in.
-        min_parallel_tasks: batches smaller than this run serially (the
-            pool spawn cost would dominate).
+        task_timeout: wall-clock limit [s] on one solve attempt of a
+            task that carries a deadline, and on every degradation
+            fallback.  Tasks without a deadline run unbounded on the
+            calling thread.
     """
 
-    max_workers: int = 0
     task_timeout: float = 120.0
-    min_parallel_tasks: int = 2
 
     def __post_init__(self) -> None:
-        if self.max_workers < 0:
-            raise RuntimeEngineError(
-                f"max_workers must be >= 0, got {self.max_workers}"
-            )
         if self.task_timeout <= 0:
             raise RuntimeEngineError(
                 f"task timeout must be positive, got {self.task_timeout}"
             )
-        if self.min_parallel_tasks < 1:
-            raise RuntimeEngineError(
-                f"min_parallel_tasks must be >= 1, got {self.min_parallel_tasks}"
-            )
 
 
 class SolverPool:
-    """Deterministic fan-out of :class:`SolveTask` batches.
+    """Deterministic in-process execution of :class:`SolveTask` batches.
 
-    Results are ordered by task index regardless of completion order,
-    and every solver is a pure function of its task, so
-    ``SolverPool(PoolOptions(max_workers=k)).solve_many(tasks)`` returns
-    the same swing matrices for every ``k``.
+    Tasks run one at a time in submission order; every solver is a
+    pure function of its task, so the same batch always returns the
+    same swing matrices.
     """
 
     def __init__(
@@ -300,29 +266,7 @@ class SolverPool:
         self.metrics.counter("pool.tasks").increment(len(tasks))
         for task in tasks:
             self.metrics.counter("pool.solves", solver=task.solver).increment()
-        use_pool = (
-            self.options.max_workers > 1
-            and len(tasks) >= self.options.min_parallel_tasks
-        )
-        short_circuited = False
-        if (
-            use_pool
-            and self.resilience is not None
-            and not self.resilience.breaker.allow()
-        ):
-            # Circuit open: fall back to the in-process path instead of
-            # feeding more batches into a broken pool.
-            self.resilience.count("circuit_short_circuits")
-            use_pool = False
-            short_circuited = True
-        if not use_pool:
-            outcomes = [self._serial_outcome(task) for task in tasks]
-            if short_circuited:
-                outcomes = [
-                    replace(outcome, circuit_open=True) for outcome in outcomes
-                ]
-            return outcomes
-        return self._parallel_outcomes(tasks)
+        return [self._solve_outcome(task) for task in tasks]
 
     # ------------------------------------------------------------------
 
@@ -397,7 +341,6 @@ class SolverPool:
         task: SolveTask,
         deadline: Deadline,
         timed_out: bool,
-        retries: int,
         first_attempt: int,
         cause: Exception,
         spans: Optional[List[dict]] = None,
@@ -443,7 +386,6 @@ class SolverPool:
                 solver=fallback,
                 requested_solver=task.solver,
                 degraded=True,
-                retries=retries,
                 deadline_exceeded=deadline_hit or deadline.expired,
                 spans=tuple(spans) if spans else (),
             )
@@ -453,7 +395,7 @@ class SolverPool:
             f"deadline: {cause}"
         ) from cause
 
-    def _serial_outcome(self, task: SolveTask) -> SolveOutcome:
+    def _solve_outcome(self, task: SolveTask) -> SolveOutcome:
         deadline = task.deadline_object()
         spans: Optional[List[dict]] = [] if task.traced else None
         if deadline.expired:
@@ -464,179 +406,29 @@ class SolverPool:
                 task,
                 deadline,
                 timed_out=True,
-                retries=0,
                 first_attempt=0,
                 cause=DeadlineExceeded("deadline expired before solve"),
                 spans=spans,
             )
-        # The first attempt is bounded only by the request deadline --
-        # without one, this is exactly the pre-resilience serial path.
-        timeout = deadline.cap(None)
+        # A task with a deadline is bounded by its remaining budget and
+        # the task timeout; one without runs unbounded on this thread,
+        # with no helper thread to pay for.
+        timeout = (
+            deadline.cap(self.options.task_timeout) if deadline.bounded else None
+        )
         try:
             swings = self._call_bounded(task, timeout, attempt=0, spans=spans)
         except DeadlineExceeded as error:
             return self._degraded_outcome(
-                task, deadline, timed_out=True, retries=0,
+                task, deadline, timed_out=True,
                 first_attempt=1, cause=error, spans=spans,
             )
         except OptimizationError as error:
             return self._degraded_outcome(
-                task, deadline, timed_out=False, retries=0,
+                task, deadline, timed_out=False,
                 first_attempt=1, cause=error, spans=spans,
             )
         return SolveOutcome(
             swings=swings, solver=task.solver, requested_solver=task.solver,
             spans=tuple(spans) if spans else (),
         )
-
-    def _parallel_outcomes(self, tasks: List[SolveTask]) -> List[SolveOutcome]:
-        results: List[Optional[np.ndarray]] = [None] * len(tasks)
-        payloads: List[Optional[List[dict]]] = [None] * len(tasks)
-        retry: List[tuple] = []  # (index, timed_out)
-        with self.metrics.timer("pool.batch_seconds"):
-            executor = ProcessPoolExecutor(max_workers=self.options.max_workers)
-            try:
-                # Traced tasks ship through solve_task_traced so the
-                # worker records its solve span; payload times are
-                # relative to the worker's capture origin, re-based here
-                # on the submit timestamp (this process's clock).
-                submit_times: Dict[int, float] = {}
-                futures = {}
-                for index, task in enumerate(tasks):
-                    if task.traced:
-                        submit_times[index] = time.perf_counter()
-                        futures[index] = executor.submit(
-                            solve_task_traced, task, None, 0
-                        )
-                    else:
-                        futures[index] = executor.submit(solve_task, task, None, 0)
-                for index, future in futures.items():
-                    timeout = tasks[index].deadline_object().cap(
-                        self.options.task_timeout
-                    )
-                    try:
-                        value = future.result(timeout=timeout)
-                    except FutureTimeout:
-                        retry.append((index, True))
-                    except (BrokenProcessPool, OSError):
-                        retry.append((index, False))
-                    else:
-                        if tasks[index].traced:
-                            swings, payload = value
-                            results[index] = swings
-                            payloads[index] = shift_payload(
-                                payload, submit_times[index]
-                            )
-                        else:
-                            results[index] = value
-            finally:
-                # Do not block the batch on timed-out workers still
-                # chewing on abandoned tasks.
-                executor.shutdown(wait=False, cancel_futures=True)
-        if self.resilience is not None:
-            if retry:
-                for _ in retry:
-                    self.resilience.breaker.record_failure()
-                self.resilience.count("pool_failures", len(retry))
-            else:
-                self.resilience.breaker.record_success()
-        outcomes: List[Optional[SolveOutcome]] = [
-            None
-            if results[index] is None
-            else SolveOutcome(
-                swings=results[index],
-                solver=task.solver,
-                requested_solver=task.solver,
-                spans=tuple(payloads[index]) if payloads[index] else (),
-            )
-            for index, task in enumerate(tasks)
-        ]
-        # Retry crashed/timed-out tasks in this process -- bounded by
-        # task_timeout (a hung solve must not block the batch forever)
-        # and by the task deadline, with backoff + degradation when a
-        # resilience policy is attached.  Serial re-execution keeps the
-        # batch deterministic and always makes progress.
-        for index, timed_out in retry:
-            self.metrics.counter("pool.retries").increment()
-            outcomes[index] = self._retry_outcome(tasks[index], timed_out)
-        if any(outcome is None for outcome in outcomes):
-            raise RuntimeEngineError("pool returned incomplete results")
-        return outcomes  # type: ignore[return-value]
-
-    def _retry_outcome(self, task: SolveTask, timed_out: bool) -> SolveOutcome:
-        deadline = task.deadline_object()
-        policy = self.resilience
-        spans: Optional[List[dict]] = [] if task.traced else None
-        if timed_out:
-            # The same solver just burned a full task_timeout in a
-            # worker; re-running it serially would hang the batch again.
-            # Degrade (with a policy) or fail explicitly (without).
-            cause = DeadlineExceeded(
-                f"solver {task.solver!r} exceeded the "
-                f"{self.options.task_timeout:.3f}s task timeout in the pool"
-            )
-            if policy is not None and policy.options.degrade:
-                return self._degraded_outcome(
-                    task, deadline, timed_out=True, retries=1,
-                    first_attempt=1, cause=cause, spans=spans,
-                )
-            try:
-                swings = self._call_bounded(
-                    task, deadline.cap(self.options.task_timeout), attempt=1,
-                    spans=spans,
-                )
-            except Exception as error:
-                self.metrics.counter("pool.failures").increment()
-                raise RuntimeEngineError(
-                    f"task failed after bounded serial retry: {error}"
-                ) from error
-            return SolveOutcome(
-                swings=swings, solver=task.solver,
-                requested_solver=task.solver, retries=1,
-                spans=tuple(spans) if spans else (),
-            )
-        # Worker crash: the task itself is usually fine, so retry it
-        # serially -- with backoff between attempts under a policy.
-        attempts = 1 if policy is None else max(1, policy.retry.max_attempts)
-        last_error: Optional[Exception] = None
-        for attempt in range(1, attempts + 1):
-            if policy is not None and attempt > 1:
-                delay = deadline.cap(policy.retry.delay(task.fault_key, attempt - 2))
-                if delay and delay > 0 and delay != float("inf"):
-                    time.sleep(delay)
-            if policy is not None:
-                policy.count("retries")
-            try:
-                swings = self._call_bounded(
-                    task, deadline.cap(self.options.task_timeout), attempt,
-                    spans=spans,
-                )
-            except (DeadlineExceeded, OptimizationError) as error:
-                last_error = error
-                if isinstance(error, DeadlineExceeded):
-                    break
-                continue
-            except Exception as error:
-                self.metrics.counter("pool.failures").increment()
-                raise RuntimeEngineError(
-                    f"task failed after serial retry: {error}"
-                ) from error
-            return SolveOutcome(
-                swings=swings, solver=task.solver,
-                requested_solver=task.solver, retries=attempt,
-                spans=tuple(spans) if spans else (),
-            )
-        if policy is not None and policy.options.degrade:
-            return self._degraded_outcome(
-                task,
-                deadline,
-                timed_out=isinstance(last_error, DeadlineExceeded),
-                retries=attempts,
-                first_attempt=attempts + 1,
-                cause=last_error or RuntimeEngineError("retries exhausted"),
-                spans=spans,
-            )
-        self.metrics.counter("pool.failures").increment()
-        raise RuntimeEngineError(
-            f"task failed after serial retry: {last_error}"
-        ) from last_error

@@ -1,28 +1,21 @@
 """Fault-tolerance primitives for the allocation-serving runtime.
 
-The fast path (cache -> batch -> pool) assumes every solve returns.  In
-production it will not: SLSQP wedges on a bad conditioning, a pool
-worker segfaults, a caller shows up with a latency budget.  This module
-supplies the four mechanisms the service composes into "always answer,
-degrade explicitly":
+The fast path (cache -> batch -> solve) assumes every solve returns.
+In production it will not: SLSQP wedges on a bad conditioning, a
+caller shows up with a latency budget.  This module supplies the two
+mechanisms the service composes into "always answer, degrade
+explicitly":
 
 - :class:`Deadline` -- a per-request wall-clock budget that flows from
   :class:`~repro.runtime.service.AllocationRequest` through the
-  allocation stage into :class:`~repro.runtime.pool.SolverPool` task
+  allocation stage into :class:`~repro.runtime.pool.SolverPool` solve
   timeouts;
-- :class:`RetryPolicy` -- bounded retries with exponential backoff and
-  *deterministic* jitter (a pure hash of seed/key/attempt, so chaos
-  runs reproduce bit-for-bit);
-- :class:`CircuitBreaker` -- trips after repeated pool failures
-  (``BrokenProcessPool`` / timeouts) and routes traffic to the
-  in-process serial path until a probe succeeds;
 - the degradation chain -- ``optimal -> swing -> binary -> greedy ->
   heuristic``: a timed-out or non-converged solve falls down the chain
   and returns the best cheaper allocation instead of raising.
 
-Everything reports through ``resilience.*`` counters/gauges in the
-metrics registry; :meth:`AllocationService.health` summarizes the
-current state.
+Everything reports through ``resilience.*`` counters in the metrics
+registry; :meth:`AllocationService.health` summarizes them.
 """
 
 from __future__ import annotations
@@ -30,11 +23,9 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Hashable, Optional, Tuple
+from typing import Callable, Optional, Tuple
 
-from ..analysis.lockgraph import monitored_lock
-from ..errors import CircuitOpenError, ConfigurationError, DeadlineExceeded
-from .faults import hash_unit
+from ..errors import ConfigurationError, DeadlineExceeded
 from .metrics import MetricsRegistry
 
 #: Solver fallback order: each entry degrades to the ones after it.
@@ -83,9 +74,7 @@ class Deadline:
     """An absolute wall-clock budget on the monotonic clock.
 
     ``expires_at`` is a :func:`time.monotonic` timestamp (``inf`` means
-    unbounded).  Deadlines are enforced entirely in the parent process
-    -- workers never read them -- so they need no cross-process clock
-    agreement.
+    unbounded).
 
     ``expired`` and :meth:`remaining` are two views of the same clock
     read: ``expired`` is exactly ``remaining() == 0.0`` for a bounded
@@ -163,187 +152,6 @@ class Deadline:
 
 
 # ----------------------------------------------------------------------
-# Retry with deterministic jitter
-# ----------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Exponential backoff with deterministic, seedable jitter.
-
-    ``delay(key, attempt)`` is a pure function: jitter comes from a
-    hash of ``(seed, key, attempt)``, not a global RNG, so a replayed
-    chaos run backs off identically.  Attempt numbers are 0-based and
-    count *retries* (the first try is not an attempt).
-    """
-
-    max_attempts: int = 2
-    base_delay: float = 0.02
-    multiplier: float = 2.0
-    max_delay: float = 1.0
-    jitter: float = 0.5
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.max_attempts < 0:
-            raise ConfigurationError(
-                f"max_attempts must be >= 0, got {self.max_attempts}"
-            )
-        if self.base_delay < 0 or self.max_delay < 0:
-            raise ConfigurationError("backoff delays must be >= 0")
-        if self.multiplier < 1.0:
-            raise ConfigurationError(
-                f"multiplier must be >= 1, got {self.multiplier}"
-            )
-        if not 0.0 <= self.jitter <= 1.0:
-            raise ConfigurationError(
-                f"jitter must be in [0, 1], got {self.jitter}"
-            )
-
-    def delay(self, key: Hashable, attempt: int) -> float:
-        """Backoff before retry *attempt* (0-based) of task *key*."""
-        base = min(self.max_delay, self.base_delay * self.multiplier**attempt)
-        fraction = hash_unit(self.seed, "backoff", key, attempt)
-        return base * (1.0 + self.jitter * (fraction - 0.5))
-
-
-# ----------------------------------------------------------------------
-# Circuit breaker
-# ----------------------------------------------------------------------
-
-
-class CircuitBreaker:
-    """Closed -> open -> half-open failure gate for the process pool.
-
-    ``failure_threshold`` consecutive pool-level failures (worker crash
-    or task timeout) open the circuit; while open, :meth:`allow` returns
-    False so the pool routes batches to the in-process serial path (and
-    :meth:`check` raises :class:`CircuitOpenError` for callers that
-    cannot degrade).  After ``reset_seconds`` the breaker half-opens and
-    admits a single probe: success closes it, failure reopens it.
-
-    The clock is injectable for tests.
-    """
-
-    CLOSED = "closed"
-    OPEN = "open"
-    HALF_OPEN = "half-open"
-
-    #: Numeric encoding for the ``resilience.circuit_state`` gauge.
-    STATE_CODES = {CLOSED: 0.0, HALF_OPEN: 1.0, OPEN: 2.0}
-
-    def __init__(
-        self,
-        failure_threshold: int = 3,
-        reset_seconds: float = 30.0,
-        clock: Callable[[], float] = time.monotonic,
-    ) -> None:
-        if failure_threshold < 1:
-            raise ConfigurationError(
-                f"failure threshold must be >= 1, got {failure_threshold}"
-            )
-        if reset_seconds < 0:
-            raise ConfigurationError(
-                f"reset seconds must be >= 0, got {reset_seconds}"
-            )
-        self.failure_threshold = failure_threshold
-        self.reset_seconds = reset_seconds
-        self._clock = clock
-        self._lock = monitored_lock("resilience.breaker")
-        self._state = self.CLOSED
-        self._failures = 0
-        self._opened_at: Optional[float] = None
-        self._probe_inflight = False
-        self.open_events = 0
-
-    # -- state ----------------------------------------------------------
-
-    def _refresh_locked(self) -> None:
-        if (
-            self._state == self.OPEN
-            and self._opened_at is not None
-            and self._clock() - self._opened_at >= self.reset_seconds
-        ):
-            self._state = self.HALF_OPEN
-            self._probe_inflight = False
-
-    @property
-    def state(self) -> str:
-        with self._lock:
-            self._refresh_locked()
-            return self._state
-
-    @property
-    def failures(self) -> int:
-        with self._lock:
-            return self._failures
-
-    @property
-    def available(self) -> bool:
-        """Whether dispatches may currently reach this breaker's pool.
-
-        ``closed`` and ``half-open`` both count as available (half-open
-        is probing its way back); only a fully ``open`` breaker is
-        unavailable.  The cluster shard router uses this to spill a
-        broken shard's keys to the next ring position.
-        """
-        return self.state != self.OPEN
-
-    def allow(self) -> bool:
-        """Whether a pool dispatch may proceed right now.
-
-        Half-open admits exactly one in-flight probe; concurrent
-        dispatches are refused until the probe reports back.
-        """
-        with self._lock:
-            self._refresh_locked()
-            if self._state == self.CLOSED:
-                return True
-            if self._state == self.HALF_OPEN and not self._probe_inflight:
-                self._probe_inflight = True
-                return True
-            return False
-
-    def check(self) -> None:
-        """Raise :class:`CircuitOpenError` unless a dispatch may proceed."""
-        if not self.allow():
-            raise CircuitOpenError(
-                f"circuit breaker is {self.state} after "
-                f"{self._failures} consecutive pool failures"
-            )
-
-    def record_success(self) -> None:
-        with self._lock:
-            self._failures = 0
-            self._probe_inflight = False
-            self._state = self.CLOSED
-            self._opened_at = None
-
-    def record_failure(self) -> None:
-        with self._lock:
-            self._refresh_locked()
-            self._failures += 1
-            self._probe_inflight = False
-            if (
-                self._state == self.HALF_OPEN
-                or self._failures >= self.failure_threshold
-            ):
-                if self._state != self.OPEN:
-                    self.open_events += 1
-                self._state = self.OPEN
-                self._opened_at = self._clock()
-
-    def snapshot(self) -> dict:
-        with self._lock:
-            self._refresh_locked()
-            return {
-                "state": self._state,
-                "failures": self._failures,
-                "open_events": self.open_events,
-            }
-
-
-# ----------------------------------------------------------------------
 # Policy bundle
 # ----------------------------------------------------------------------
 
@@ -353,9 +161,6 @@ class ResilienceOptions:
     """Knobs for the service/pool fault-tolerance layer.
 
     Attributes:
-        retry: backoff policy for crashed-worker retries.
-        breaker_failure_threshold / breaker_reset_seconds: circuit
-            breaker trip point and cool-down.
         degrade: fall down :data:`DEGRADATION_CHAIN` on timeout or
             non-convergence instead of raising (disable to surface
             :class:`DeadlineExceeded` / solver errors to the caller).
@@ -363,9 +168,6 @@ class ResilienceOptions:
             request does not carry its own (None = unbounded).
     """
 
-    retry: RetryPolicy = field(default_factory=RetryPolicy)
-    breaker_failure_threshold: int = 3
-    breaker_reset_seconds: float = 30.0
     degrade: bool = True
     default_deadline_seconds: Optional[float] = None
 
@@ -381,22 +183,15 @@ class ResilienceOptions:
 
 
 class ResiliencePolicy:
-    """One breaker + retry policy + metrics wiring, shared pool-wide."""
+    """Deadline defaults + degradation switch + metrics wiring."""
 
     def __init__(
         self,
         options: Optional[ResilienceOptions] = None,
         metrics: Optional[MetricsRegistry] = None,
-        clock: Callable[[], float] = time.monotonic,
     ) -> None:
         self.options = options if options is not None else ResilienceOptions()
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self.breaker = CircuitBreaker(
-            failure_threshold=self.options.breaker_failure_threshold,
-            reset_seconds=self.options.breaker_reset_seconds,
-            clock=clock,
-        )
-        self.retry = self.options.retry
 
     def deadline_for(self, seconds: Optional[float]) -> Deadline:
         """A request deadline: explicit seconds, else the default."""
@@ -408,22 +203,16 @@ class ResiliencePolicy:
         """Bump ``resilience.<name>``, optionally with metric labels.
 
         Labeled variants render as ``resilience.<name>{k="v"}`` and are
-        picked up by :meth:`snapshot` alongside the plain counters.
+        picked up by :meth:`counters` alongside the plain counters.
         """
         self.metrics.counter(f"resilience.{name}", **labels).increment(amount)
 
-    def refresh_gauges(self) -> None:
-        self.metrics.gauge("resilience.circuit_state").set(
-            CircuitBreaker.STATE_CODES[self.breaker.state]
-        )
+    def counters(self) -> dict:
+        """The ``resilience.*`` counters, one dict.
 
-    def snapshot(self) -> dict:
-        """Breaker state plus the resilience counters, one dict.
-
-        Reads only the ``resilience.*`` counters (each an atomic locked
-        read) instead of a full registry snapshot -- a full snapshot
-        computes percentiles for every histogram, which is far too heavy
-        for the cluster controller's per-rollup health polling.
+        Reads only those counters (each an atomic locked read) instead
+        of a full registry snapshot -- a full snapshot computes
+        percentiles for every histogram, which is far too heavy for the
+        cluster controller's per-rollup health polling.
         """
-        counters = self.metrics.counters_with_prefix("resilience.")
-        return {"circuit": self.breaker.snapshot(), "counters": counters}
+        return self.metrics.counters_with_prefix("resilience.")

@@ -1,10 +1,10 @@
-"""The allocation-serving facade: cache -> batch -> pool.
+"""The allocation-serving facade: cache -> batch -> solve.
 
 :class:`AllocationService` is the front door of the runtime engine.  A
 request names receiver positions, a power budget and a solver; the
 service quantizes the placement into a cache key, computes LOS channel
 matrices for all cache-missing placements in one batched broadcast,
-fans the allocation solves across the process pool, evaluates the
+solves each distinct cache-missing allocation once, evaluates the
 resulting throughputs as one allocation stack, and reports everything
 through the metrics registry.  ``python -m repro bench`` drives it with
 a random-placement workload and prints latency percentiles.
@@ -83,8 +83,8 @@ class AllocationRequest:
         tag: optional caller-supplied request label.
         deadline_seconds: optional per-request latency budget [s].  The
             budget starts ticking when the batch is admitted and flows
-            through the allocation stage into the solver pool's task
-            timeouts; an expiring solve degrades down the solver chain
+            through the allocation stage into the solve's timeout; an
+            expiring solve degrades down the solver chain
             instead of blocking.
     """
 
@@ -174,8 +174,8 @@ class ServiceOptions:
         incremental_channel: when a cache-missing placement differs from
             a remembered one in only some receivers, recompute just those
             columns of the channel matrix instead of the full rebuild.
-        resilience: fault-tolerance knobs (retry/backoff, circuit
-            breaker, degradation chain, default deadline); see
+        resilience: fault-tolerance knobs (degradation chain, default
+            deadline); see
             :class:`repro.runtime.resilience.ResilienceOptions`.
         faults: optional seedable chaos plan
             (:class:`repro.runtime.faults.FaultPlan`) injected into
@@ -216,7 +216,7 @@ class AllocationService:
     requests vary the receiver placement, budget and solver.  Channel
     matrices and solved allocations are cached under position-quantized
     keys, cache-missing channels are computed in one broadcast, and
-    solves fan out across the process pool.
+    each distinct cache-missing allocation is solved once.
     """
 
     def __init__(
@@ -264,7 +264,7 @@ class AllocationService:
     # ------------------------------------------------------------------
 
     def handle(self, request: AllocationRequest) -> AllocationResult:
-        """Serve one request (cache -> batch -> pool)."""
+        """Serve one request (cache -> batch -> solve)."""
         return self.handle_batch([request])[0]
 
     def handle_batch(
@@ -275,8 +275,8 @@ class AllocationService:
         """Serve a batch, amortizing channel computation across it.
 
         All cache-missing placements become one ``(B, N, M)`` broadcast;
-        all cache-missing solves become one pool fan-out.  Results keep
-        request order.
+        identical cache-missing solves run once.  Results keep request
+        order.
 
         With a tracer attached, every (sampled) request gets its own
         trace: a ``request`` root span with ``channel`` / ``allocation``
@@ -311,7 +311,7 @@ class AllocationService:
                 )
         traced = any(span is not None for span in roots)
         # Admission: each request's latency budget starts ticking now and
-        # flows through the allocation stage into pool task timeouts.
+        # flows through the allocation stage into the solve's timeout.
         deadlines = [
             self._resilience.deadline_for(r.deadline_seconds) for r in requests
         ]
@@ -414,32 +414,24 @@ class AllocationService:
         return snapshot
 
     def health(self) -> dict:
-        """Degradation state at a glance: circuit, counters, caches.
+        """Degradation state at a glance: counters, caches, SLO.
 
-        ``status`` is ``"ok"`` while the circuit breaker is closed and
-        ``"degraded"`` otherwise (solves are being routed around a
-        broken pool).  The ``resilience`` block carries the cumulative
-        degraded-solve / deadline-expiration / retry counters so an
-        operator can tell *how* the service has been coping.
+        ``status`` is ``"ok"`` unless an attached SLO tracker reports an
+        exhausted error budget (then ``"degraded"``).  The
+        ``resilience`` block carries the cumulative degraded-solve /
+        deadline-expiration / channel-repair counters so an operator
+        can tell *how* the service has been coping.
 
-        Every component's block comes from one atomic read: the breaker
-        snapshot under the breaker lock, each cache's size + stats
-        (including occupancy) under that cache's lock.  The cluster
-        controller polls this concurrently from its event loop while
-        shard threads are serving, so a field-by-field read here would
-        hand the rollup torn hit/miss pairs.
+        Every component's block comes from one atomic read: each cache's
+        size + stats (including occupancy) under that cache's lock.  The
+        cluster controller polls this concurrently from its event loop
+        while shard threads are serving, so a field-by-field read here
+        would hand the rollup torn hit/miss pairs.
         """
-        self._resilience.refresh_gauges()
-        snapshot = self._resilience.snapshot()
-        circuit = snapshot["circuit"]
         health: Dict[str, Any] = {
-            "status": "ok" if circuit["state"] == "closed" else "degraded",
-            "circuit": circuit,
-            "resilience": snapshot["counters"],
-            "pool": {
-                "workers": self.options.pool.max_workers,
-                "task_timeout": self.options.pool.task_timeout,
-            },
+            "status": "ok",
+            "resilience": self._resilience.counters(),
+            "pool": {"task_timeout": self.options.pool.task_timeout},
             "caches": {
                 "channel": self._channel_cache.snapshot(),
                 "allocation": self._allocation_cache.snapshot(),
@@ -448,7 +440,7 @@ class AllocationService:
         if self._slo is not None:
             slo = self._slo.snapshot()
             health["slo"] = slo
-            if health["status"] == "ok" and not slo.get("healthy", True):
+            if not slo.get("healthy", True):
                 health["status"] = "degraded"
         return health
 
@@ -466,15 +458,6 @@ class AllocationService:
     def slo(self) -> Optional[SLOObserver]:
         """The attached SLO tracker, if any."""
         return self._slo
-
-    @property
-    def resilience(self) -> ResiliencePolicy:
-        """The service's resilience policy (breaker + retry + counters).
-
-        Public so the cluster layer can consult the circuit breaker for
-        shard routing without reaching into privates.
-        """
-        return self._resilience
 
     @property
     def base_fingerprint(self) -> str:
@@ -698,7 +681,7 @@ class AllocationService:
     def _allocation_stage(
         self, requests, placement_keys, channels, deadlines, roots=None
     ):
-        """Resolve every request's allocation, fanning misses to the pool.
+        """Resolve every request's allocation, solving the misses.
 
         Optimal-mode misses are seeded from the nearest previously solved
         placement (the warm-start pipeline); results feed back into the
@@ -711,7 +694,7 @@ class AllocationService:
         For traced requests (*roots* entries that are spans) the stage
         opens an ``allocation`` span per request, nests the cache lookup
         under it, marks miss-group tasks as traced so the pool records
-        worker-side solve spans, and re-attaches the returned payloads.
+        their solve spans, and attaches the returned payloads.
         """
         tracer = self.tracer
         if roots is None:
@@ -825,8 +808,6 @@ class AllocationService:
                         span.attributes.update(
                             solver_used=outcome.solver,
                             degraded=outcome.degraded,
-                            retries=outcome.retries,
-                            circuit_open=outcome.circuit_open,
                             deadline_exceeded=outcome.deadline_exceeded,
                             warm_started=task.warm_start is not None,
                             reduce=task.reduce,
@@ -852,7 +833,6 @@ class AllocationService:
         self.metrics.gauge("service.allocation_hit_rate").set(
             self._allocation_cache.stats.hit_rate
         )
-        self._resilience.refresh_gauges()
 
 
 # ----------------------------------------------------------------------
@@ -872,11 +852,9 @@ class BenchmarkReport:
     channel_hit_rate: float
     allocation_hit_rate: float
     solver: str
-    workers: int
     solver_stage_ms: Dict[str, float] = field(default_factory=dict)
     solver_counters: Dict[str, float] = field(default_factory=dict)
     health_status: str = "ok"
-    circuit_state: str = "closed"
     resilience_counters: Dict[str, float] = field(default_factory=dict)
     stage_breakdown: Dict[str, Dict[str, float]] = field(default_factory=dict)
     traced_spans: int = 0
@@ -888,15 +866,13 @@ class BenchmarkReport:
         lines = [
             f"requests            {self.requests}",
             f"solver              {self.solver}",
-            f"pool workers        {self.workers}",
             f"total time          {self.duration_seconds * 1e3:.1f} ms",
             f"throughput          {self.requests_per_second:.1f} req/s",
             f"latency p50         {self.p50_latency_ms:.3f} ms",
             f"latency p95         {self.p95_latency_ms:.3f} ms",
             f"channel hit-rate    {100 * self.channel_hit_rate:.1f}%",
             f"allocation hit-rate {100 * self.allocation_hit_rate:.1f}%",
-            f"health              {self.health_status} "
-            f"(circuit {self.circuit_state})",
+            f"health              {self.health_status}",
         ]
         if self.stage_breakdown:
             lines.append("")
@@ -952,11 +928,9 @@ class BenchmarkReport:
             "channel_hit_rate": self.channel_hit_rate,
             "allocation_hit_rate": self.allocation_hit_rate,
             "solver": self.solver,
-            "workers": self.workers,
             "solver_stage_ms": dict(self.solver_stage_ms),
             "solver_counters": dict(self.solver_counters),
             "health_status": self.health_status,
-            "circuit_state": self.circuit_state,
             "resilience_counters": dict(self.resilience_counters),
             "stage_breakdown": {
                 stage: dict(stats)
@@ -1012,7 +986,6 @@ def _stage_breakdown(snapshot: dict) -> Dict[str, Dict[str, float]]:
 def benchmark_service(
     distinct_placements: int = 25,
     cache_capacity: int = 256,
-    workers: int = 0,
     seed: int = 0,
     tracer: Optional[Tracer] = None,
 ) -> AllocationService:
@@ -1033,7 +1006,6 @@ def benchmark_service(
         options=ServiceOptions(
             channel_cache_capacity=cache_capacity,
             allocation_cache_capacity=4 * cache_capacity,
-            pool=PoolOptions(max_workers=workers),
         ),
         tracer=tracer,
     )
@@ -1044,7 +1016,6 @@ def run_benchmark(
     distinct_placements: int = 25,
     solver: str = "heuristic",
     power_budget: float = 1.2,
-    workers: int = 0,
     cache_capacity: int = 256,
     batch_size: int = 1,
     seed: int = 0,
@@ -1081,7 +1052,6 @@ def run_benchmark(
             options=ServiceOptions(
                 channel_cache_capacity=cache_capacity,
                 allocation_cache_capacity=4 * cache_capacity,
-                pool=PoolOptions(max_workers=workers),
             ),
             tracer=tracer,
         )
@@ -1128,11 +1098,9 @@ def run_benchmark(
         channel_hit_rate=service.channel_hit_rate,
         allocation_hit_rate=service.allocation_hit_rate,
         solver=solver,
-        workers=workers,
         solver_stage_ms=stage_ms,
         solver_counters=stage_counters,
         health_status=health["status"],
-        circuit_state=health["circuit"]["state"],
         resilience_counters=health["resilience"],
         stage_breakdown=_stage_breakdown(snapshot),
         traced_spans=len(service.tracer.finished_spans()),

@@ -10,12 +10,12 @@ constraints shape the module:
   ``(seed, counter)``, so the same workload under the same seed produces
   the same ids -- trace output diffs cleanly across runs.  Sampling
   decisions are pure hashes of the trace index, never a global RNG.
-- **Process-boundary aware**: solver-pool workers cannot share the
-  parent's tracer (or its clock origin), so they record spans into a
-  :class:`SpanRecorder` whose payload -- plain dicts with local ids and
-  capture-relative times -- travels back with the solve result and is
-  re-attached to the parent trace by :meth:`Tracer.attach_payload`
-  (ids remapped deterministically, times re-based on the parent clock).
+- **Shared-solve aware**: one solve may serve several requests, so the
+  solver pool records its spans into a :class:`SpanRecorder` whose
+  payload -- plain dicts with local ids and capture-relative times --
+  travels back with the solve result and is attached to every request
+  trace it serves by :meth:`Tracer.attach_payload` (ids remapped
+  deterministically, times re-based on the tracer's clock).
 - **Near-free when off**: a disabled tracer refuses every span with one
   attribute read; call sites in the service guard their bookkeeping on
   ``tracer.enabled`` so the untraced hot path is unchanged.
@@ -67,7 +67,7 @@ class TracingOptions:
         sample_rate: fraction of traces recorded, decided per root span
             by a deterministic hash of the trace index (1.0 = all,
             0.0 = none).  Unsampled traces produce no spans anywhere,
-            including in pool workers.
+            including solve spans.
         seed: root of every trace/span id and sampling decision.
         max_spans: bounded span buffer size; overflow evicts the oldest
             span and increments ``Tracer.dropped_spans``.
@@ -284,7 +284,7 @@ class Tracer:
         finally:
             self.finish(span)
 
-    # -- process-boundary plumbing --------------------------------------
+    # -- recorded payloads ----------------------------------------------
 
     def attach_payload(
         self,
@@ -292,7 +292,7 @@ class Tracer:
         parent: Optional[Span],
         base_time: float = 0.0,
     ) -> None:
-        """Re-attach spans captured across a process boundary.
+        """Attach spans captured by a :class:`SpanRecorder`.
 
         *payload* is :meth:`SpanRecorder.payload` output (or the
         parent-clock-shifted copy the solver pool returns): plain dicts
@@ -415,26 +415,20 @@ def _jsonable(value: Any) -> Any:
     return str(value)
 
 
-def trace_context_for(span: Optional[Span]) -> Optional[dict]:
-    """The serializable context a solve task carries across processes."""
-    if span is None:
-        return None
-    return {"trace_id": span.trace_id, "parent_id": span.span_id}
-
-
 class SpanRecorder:
-    """Span capture on the far side of a process boundary.
+    """Span capture for a solve, independent of any request trace.
 
-    Workers cannot hold the parent tracer, so they record spans with
+    A solve may serve several requests, so it records spans with
     *local* ids (``r0``, ``r1`` ... assigned at span start, hence
     parents-before-children in the payload) and times relative to the
-    recorder's creation instant.  The payload -- plain picklable dicts --
-    rides back with the solve result; the parent shifts the times onto
-    its own clock and :meth:`Tracer.attach_payload` remaps the ids.
+    recorder's creation instant.  The payload -- plain dicts -- rides
+    back with the solve result; the caller shifts the times onto its
+    own clock and :meth:`Tracer.attach_payload` remaps the ids once per
+    request trace.
 
     The recorder also scopes each span into the process-local context,
-    so optimizer introspection (:func:`add_span_attributes`) works
-    identically in and out of workers.
+    so optimizer introspection (:func:`add_span_attributes`) lands on
+    the recorded solve span.
     """
 
     def __init__(self, clock: Callable[[], float] = time.perf_counter) -> None:
@@ -466,7 +460,7 @@ class SpanRecorder:
             span.end = self._clock() - self._origin
 
     def payload(self) -> List[dict]:
-        """The recorded spans as picklable dicts (relative times)."""
+        """The recorded spans as plain dicts (relative times)."""
         return [span.as_dict() for span in self.spans]
 
 

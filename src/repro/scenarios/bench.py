@@ -29,7 +29,6 @@ from dataclasses import dataclass, field
 from itertools import groupby
 from typing import Dict, List, Optional, Tuple
 
-from ..runtime.pool import PoolOptions
 from ..runtime.service import (
     AllocationRequest,
     AllocationService,
@@ -120,14 +119,13 @@ class ScenarioBenchReport:
 
 
 def _service_for(
-    instance: ScenarioInstance, workers: int, cache_capacity: int
+    instance: ScenarioInstance, cache_capacity: int
 ) -> AllocationService:
     return AllocationService(
         instance.scene,
         options=ServiceOptions(
             channel_cache_capacity=cache_capacity,
             allocation_cache_capacity=4 * cache_capacity,
-            pool=PoolOptions(max_workers=workers),
             faults=instance.fault_plan,
         ),
     )
@@ -136,7 +134,6 @@ def _service_for(
 def run_scenario_benchmark(
     name: str,
     seed: Optional[int] = None,
-    workers: int = 0,
     cache_capacity: int = 256,
     service: Optional[AllocationService] = None,
     slo: Optional[SLOObserver] = None,
@@ -152,7 +149,7 @@ def run_scenario_benchmark(
     """
     instance = build_scenario(name, seed)
     if service is None:
-        service = _service_for(instance, workers, cache_capacity)
+        service = _service_for(instance, cache_capacity)
     if slo is not None:
         service.attach_slo(slo)
     degraded = 0

@@ -3,7 +3,7 @@
 A physical fault timeline -- which LEDs are dark or dim, when -- is
 compiled down to the serving stack's existing chaos machinery
 (:class:`~repro.runtime.faults.FaultPlan`), so the degradation chain and
-retry/breaker paths get exercised by *physically meaningful* events
+channel-repair paths get exercised by *physically meaningful* events
 rather than synthetic probabilities:
 
 - a **dark** LED (severity 1.0) means channel estimates involving it are
@@ -11,10 +11,7 @@ rather than synthetic probabilities:
   with the fraction of LED-time lost;
 - a **dim** luminaire (severity < 1, thermal derating or dust) mostly
   slows convergence -- SLSQP grinds on a badly scaled column ->
-  ``slow_solve_probability`` scales with the degraded fraction;
-- a totally dark stretch occasionally takes a worker down with it
-  (power rail shared between luminaire and its driver) -> a small
-  ``worker_crash_probability``.
+  ``slow_solve_probability`` scales with the degraded fraction.
 
 The mapping is deliberately coarse (the runtime injects faults by
 hash, not by timestamp), but it is *derived* from the timeline: more
@@ -176,9 +173,8 @@ def compile_fault_plan(timeline: OutageTimeline, seed: int) -> FaultPlan:
 
     The probabilities scale linearly with the severity-weighted outage
     fraction and are capped well below 1 so every scenario still
-    terminates promptly under retries.  Dark-LED time (severity ~1)
-    drives channel corruption and a sliver of worker crashes; dim time
-    (severity < 1) drives slow solves instead.
+    terminates promptly.  Dark-LED time (severity ~1) drives channel
+    corruption; dim time (severity < 1) drives slow solves instead.
     """
     fraction = timeline.outage_fraction()
     dark = sum(
@@ -188,7 +184,6 @@ def compile_fault_plan(timeline: OutageTimeline, seed: int) -> FaultPlan:
     return FaultPlan(
         seed=derive_seed(seed, "fault-plan"),
         corrupt_channel_probability=round(min(0.4, 6.0 * dark), 6),
-        worker_crash_probability=round(min(0.1, 1.5 * dark), 6),
         slow_solve_probability=round(min(0.4, 6.0 * max(dim, 0.0)), 6),
         slow_solve_seconds=0.02,
         fault_attempts=1,
@@ -250,7 +245,6 @@ def _outage_instance(
             "severity": severity,
             "corrupt_channel_probability": plan.corrupt_channel_probability,
             "slow_solve_probability": plan.slow_solve_probability,
-            "worker_crash_probability": plan.worker_crash_probability,
             "solver": solver,
         },
     )
@@ -258,7 +252,7 @@ def _outage_instance(
 
 @register_scenario(
     "led-outage",
-    "dark-LED timeline compiled to channel-corruption/crash faults",
+    "dark-LED timeline compiled to channel-corruption faults",
     seed=0,
 )
 def build_led_outage(seed: int) -> ScenarioInstance:

@@ -29,11 +29,10 @@ class Span:
     """One timed, attributed operation in a trace tree.
 
     ``start``/``end`` are clock readings (the owning tracer decides the
-    clock; spans captured across a process boundary use times relative
-    to the capture origin until they are re-based on attachment).
-    Identifiers are assigned by the tracer; spans recorded far from one
-    (worker processes) carry local placeholder ids that are remapped on
-    attachment.
+    clock; spans captured by a recorder use times relative to the
+    capture origin until they are re-based on attachment).
+    Identifiers are assigned by the tracer; spans recorded away from one
+    carry local placeholder ids that are remapped on attachment.
     """
 
     __slots__ = (

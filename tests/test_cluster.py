@@ -1,8 +1,8 @@
 """Tests for the sharded cluster layer (repro.cluster).
 
-Covers the consistent-hash ring (determinism, minimal remap, spill),
-the controller (lifecycle, breaker-aware routing, health and Prometheus
-rollups), the asyncio front door (batching, coalescing bit-identity,
+Covers the consistent-hash ring (determinism, minimal remap), the
+controller (lifecycle, routing, health and Prometheus rollups), the
+asyncio front door (batching, coalescing bit-identity,
 deadline- and capacity-shedding, trace propagation into the shards) and
 the cluster benchmark + ``repro cluster-bench`` CLI.
 """
@@ -31,7 +31,6 @@ from repro.cluster import (
 from repro.experiments.scenarios import fig6_instances
 from repro.runtime import (
     AllocationRequest,
-    PoolOptions,
     ServiceOptions,
     Tracer,
     TracingOptions,
@@ -62,7 +61,6 @@ def make_request(placements, index, **kwargs):
 def small_options(shards=4, **service_kwargs):
     service_kwargs.setdefault("channel_cache_capacity", 64)
     service_kwargs.setdefault("allocation_cache_capacity", 256)
-    service_kwargs.setdefault("pool", PoolOptions(max_workers=0))
     return ClusterOptions(
         shards=shards, service=ServiceOptions(**service_kwargs)
     )
@@ -115,15 +113,6 @@ class TestConsistentHashRing:
         ring.add_shard("s2")
         assert ring.assignment(self.KEYS) == before
 
-    def test_unavailable_shard_spills_clockwise(self):
-        ring = ConsistentHashRing(["s0", "s1", "s2", "s3"], seed=0)
-        key = self.KEYS[0]
-        primary = ring.route(key)
-        spilled = ring.route(key, unavailable={primary})
-        assert spilled != primary
-        # Recovery: the key falls straight back to its primary.
-        assert ring.route(key) == primary
-
     def test_membership_errors(self):
         ring = ConsistentHashRing(["s0"], seed=0)
         with pytest.raises(ClusterError):
@@ -139,9 +128,6 @@ class TestConsistentHashRing:
         empty = ConsistentHashRing(seed=0)
         with pytest.raises(ClusterError):
             empty.route("k")
-        ring = ConsistentHashRing(["s0", "s1"], seed=0)
-        with pytest.raises(ClusterError):
-            ring.route("k", unavailable={"s0", "s1"})
 
 
 # ----------------------------------------------------------------------
@@ -173,28 +159,7 @@ class TestClusterController:
             request = make_request(placements, index)
             key = a.fingerprint_for(request)
             assert key == b.fingerprint_for(request)
-            assert a.route(key)[0].shard_id == b.route(key)[0].shard_id
-
-    def test_open_breaker_spills_and_recovers(self, scene, placements):
-        controller = ClusterController(scene, options=small_options())
-        key = controller.fingerprint_for(make_request(placements, 0))
-        primary, spilled = controller.route(key)
-        assert spilled is False
-        breaker = primary.service.resilience.breaker
-        for _ in range(breaker.failure_threshold + 1):
-            breaker.record_failure()
-        assert primary.available is False
-        fallback, spilled = controller.route(key)
-        assert spilled is True
-        assert fallback.shard_id != primary.shard_id
-        spills = controller.metrics.counter(
-            "cluster.spills", to=fallback.shard_id
-        )
-        assert spills.value >= 1
-        breaker.record_success()
-        recovered, spilled = controller.route(key)
-        assert spilled is False
-        assert recovered.shard_id == primary.shard_id
+            assert a.route(key).shard_id == b.route(key).shard_id
 
     def test_health_rollup(self, scene, placements):
         controller = ClusterController(scene, options=small_options(shards=2))
@@ -204,30 +169,32 @@ class TestClusterController:
         health = controller.health()
         assert health["status"] == "ok"
         assert health["shard_count"] == 2
-        assert health["available_shards"] == 2
+        assert health["degraded_shards"] == []
         for report in health["shards"].values():
             caches = report["caches"]
             assert 0.0 <= caches["channel"]["occupancy"] <= 1.0
             assert 0.0 <= caches["allocation"]["occupancy"] <= 1.0
-            assert report["circuit"]["state"] == "closed"
 
-        breaker = controller.shard("shard-0").service.resilience.breaker
-        for _ in range(breaker.failure_threshold + 1):
-            breaker.record_failure()
+        class ExhaustedSLO:
+            def observe(self, latency_seconds, ok):
+                pass
+
+            def snapshot(self):
+                return {"healthy": False}
+
+        # A shard degrades when its SLO error budget is spent.
+        controller.shard("shard-0").service.attach_slo(ExhaustedSLO())
         health = controller.health()
         assert health["status"] == "degraded"
         assert health["degraded_shards"] == ["shard-0"]
-        breaker = controller.shard("shard-1").service.resilience.breaker
-        for _ in range(breaker.failure_threshold + 1):
-            breaker.record_failure()
-        assert controller.health()["status"] == "critical"
+        assert health["shards"]["shard-1"]["status"] == "ok"
 
     def test_prometheus_rollup_is_shard_labeled_and_grouped(
         self, scene, placements
     ):
         controller = ClusterController(scene, options=small_options(shards=2))
         for index in range(3):
-            shard, _ = controller.route(
+            shard = controller.route(
                 controller.fingerprint_for(make_request(placements, index))
             )
             shard.service.handle(make_request(placements, index))
@@ -595,6 +562,20 @@ class TestClusterBench:
         )
         assert report.rate == 2000.0
         assert report.served + report.shed == 12
+
+    def test_distinct_placements_counts_the_draw(self):
+        # A hot-heavy draw repeats placements: the report must count the
+        # placements the workload actually contains, not the pool size.
+        config = dict(
+            requests=12, distinct_placements=12, hot_fraction=0.75, seed=0
+        )
+        _, workload = cluster_workload(**config)
+        drawn = len({r.rx_positions_xy for r in workload})
+        assert drawn < config["distinct_placements"]
+        report = run_cluster_benchmark(
+            shards=2, cache_capacity=64, baseline=False, **config
+        )
+        assert report.distinct_placements == drawn
 
     def test_knee_sweep_reports_points(self):
         points = knee_sweep(

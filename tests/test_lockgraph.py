@@ -266,14 +266,13 @@ class TestAsyncioFrontendHandoff:
             ClusterOptions,
             FrontendOptions,
         )
-        from repro.runtime import PoolOptions, ServiceOptions
+        from repro.runtime import ServiceOptions
 
         placements = [(0.5, 0.5), (2.5, 1.0), (1.5, 2.5)]
         scene = simulation_scene(placements)
         options = ClusterOptions(
             shards=2,
             service=ServiceOptions(
-                pool=PoolOptions(max_workers=0),
                 channel_cache_capacity=16,
                 allocation_cache_capacity=32,
             ),

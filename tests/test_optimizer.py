@@ -122,3 +122,99 @@ class TestSweep:
         )
         assert np.all(sweep[0].swings == 0.0)
         assert sweep[1].total_power > 0.0
+
+
+class TestWarmSkipDifferential:
+    """The warm-start skip against a cold solve, over a seeded sweep.
+
+    The ladder walks the Fig. 9 budgets upward, warm-starting each rung
+    from the rung below through ``OptimizerOptions.warm_start`` -- the
+    path the serving layer's warm starts take -- so a dominating warm
+    start skips the anchor and restarts.  ``sweep`` walks the same
+    ladder without the skip.  Each rung of both must match a cold solve
+    of the same budget: feasible, and at most 1.8% (the paper's
+    heuristic cost) below it in utility.  The options are the serving
+    tier's (``restarts=0``, ``reduce=True``).  The placements are four
+    of seed 0's Fig. 6 draw, picked so that both ways the skip can go
+    wrong occur: at 6 and 7 the lone warm descent ends infeasible on
+    some rung, and at 4 and 6 it never leaves its start and would end
+    3-6% below the cold solve.
+
+    Wall time: about 25 s on a 2-vCPU x86 box.
+    """
+
+    MAX_GAP = 0.018
+    TOLERANCE = 1e-6
+    PLACEMENTS = (4, 6, 7, 9)
+
+    def _assert_feasible(self, allocation):
+        from repro.illumination.dimming import max_swing_for_bias
+
+        problem = allocation.problem
+        led = problem.led
+        per_tx = allocation.swings.sum(axis=1)
+        slack = 1.0 + self.TOLERANCE
+        assert np.all(allocation.swings >= -self.TOLERANCE)
+        # Eq. 6: each TX's total swing stays within I_sw,max.
+        assert np.all(per_tx <= led.max_swing * slack)
+        # Eq. 7: the communication power stays within the budget.
+        assert problem.total_power(allocation.swings) <= (
+            problem.power_budget * slack
+        )
+        # Illumination: both OOK symbols stay inside the LED's current
+        # range, so the mean current -- and the light -- stays at I_b.
+        assert np.all(per_tx <= max_swing_for_bias(led.bias_current) * slack)
+
+    def _assert_matches_cold(self, allocation, cold, label):
+        self._assert_feasible(allocation)
+        gap = (cold.utility - allocation.utility) / abs(cold.utility)
+        assert gap <= self.MAX_GAP, (
+            f"budget {allocation.problem.power_budget:.3f} W: {label} "
+            f"{gap:.2%} below the cold solve"
+        )
+
+    def test_warm_ladder_matches_cold_solves(self):
+        from dataclasses import replace
+
+        from repro.channel import channel_matrix
+        from repro.experiments.config import default_config
+        from repro.experiments.scenarios import fig6_instances
+        from repro.runtime import MetricsRegistry
+
+        cfg = default_config()
+        budgets = list(cfg.coarse_budgets(12))
+        options = OptimizerOptions(restarts=0, seed=cfg.seed, reduce=True)
+        ladder_metrics = MetricsRegistry()
+        sweep_metrics = MetricsRegistry()
+        draw = fig6_instances(instances=max(self.PLACEMENTS) + 1, seed=0)
+        for placement in draw[list(self.PLACEMENTS)]:
+            scene = cfg.simulation_scene_at(
+                tuple((float(x), float(y)) for x, y in placement)
+            )
+            problem = AllocationProblem(
+                channel=channel_matrix(scene),
+                power_budget=budgets[-1],
+                led=cfg.led,
+                photodiode=cfg.photodiode,
+                noise=cfg.noise,
+            )
+            sweep = ContinuousOptimizer(options, metrics=sweep_metrics).sweep(
+                problem, budgets
+            )
+            previous = None
+            for budget, swept in zip(budgets, sweep):
+                scoped = problem.with_budget(budget)
+                warm = ContinuousOptimizer(
+                    replace(options, warm_start=previous), metrics=ladder_metrics
+                ).solve(scoped)
+                previous = warm.swings
+                cold = solve_optimal(scoped, options)
+                self._assert_matches_cold(warm, cold, "warm ladder")
+                self._assert_matches_cold(swept, cold, "sweep")
+        counters = ladder_metrics.snapshot()["counters"]
+        assert counters["optimizer.starts_skipped"] > 0
+        assert counters["optimizer.skip_fallbacks"] > 0
+        # The figure path never skips.
+        counters = sweep_metrics.snapshot()["counters"]
+        assert counters.get("optimizer.starts_skipped", 0) == 0
+        assert counters.get("optimizer.skip_fallbacks", 0) == 0

@@ -1,9 +1,9 @@
 """Unit tests for the runtime fault-tolerance layer (repro.runtime.resilience).
 
-Covers the primitives in isolation -- deadlines, deterministic backoff,
-the circuit breaker state machine, the degradation chain, the fault
-plan's determinism -- plus the pool-level behaviors built from them
-(bounded retries, degradation on timeout).  End-to-end chaos scenarios
+Covers the primitives in isolation -- deadlines, the degradation chain,
+the fault plan's determinism -- plus the pool-level behaviors built
+from them (bounded hung solves, degradation on timeout).  End-to-end
+chaos scenarios
 through ``AllocationService.handle_batch`` live in
 ``tests/test_fault_injection.py``.
 """
@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 from repro.errors import (
-    CircuitOpenError,
     ConfigurationError,
     DeadlineExceeded,
     RuntimeEngineError,
@@ -22,14 +21,12 @@ from repro.errors import (
 from repro.experiments.scenarios import fig6_instances
 from repro.runtime import (
     DEGRADATION_CHAIN,
-    CircuitBreaker,
     Deadline,
     FaultPlan,
     MetricsRegistry,
     PoolOptions,
     ResilienceOptions,
     ResiliencePolicy,
-    RetryPolicy,
     SolverPool,
     SolveTask,
     channel_matrix_stack,
@@ -128,113 +125,6 @@ class TestDeadline:
 
 
 # ----------------------------------------------------------------------
-# RetryPolicy
-# ----------------------------------------------------------------------
-
-
-class TestRetryPolicy:
-    def test_deterministic_jitter(self):
-        a = RetryPolicy(seed=7)
-        b = RetryPolicy(seed=7)
-        assert [a.delay("k", n) for n in range(4)] == [
-            b.delay("k", n) for n in range(4)
-        ]
-
-    def test_seed_changes_jitter(self):
-        a = RetryPolicy(seed=1, jitter=1.0)
-        b = RetryPolicy(seed=2, jitter=1.0)
-        assert [a.delay("k", n) for n in range(4)] != [
-            b.delay("k", n) for n in range(4)
-        ]
-
-    def test_exponential_envelope(self):
-        policy = RetryPolicy(base_delay=0.1, multiplier=2.0, max_delay=10.0, jitter=0.0)
-        assert policy.delay("k", 0) == pytest.approx(0.1)
-        assert policy.delay("k", 1) == pytest.approx(0.2)
-        assert policy.delay("k", 2) == pytest.approx(0.4)
-
-    def test_max_delay_caps(self):
-        policy = RetryPolicy(base_delay=1.0, multiplier=10.0, max_delay=2.0, jitter=0.0)
-        assert policy.delay("k", 5) == pytest.approx(2.0)
-
-    def test_jitter_stays_in_band(self):
-        policy = RetryPolicy(base_delay=1.0, multiplier=1.0, jitter=0.5)
-        for n in range(16):
-            delay = policy.delay(("job", n), 0)
-            assert 0.75 <= delay <= 1.25
-
-    def test_invalid_options_rejected(self):
-        with pytest.raises(ConfigurationError):
-            RetryPolicy(max_attempts=-1)
-        with pytest.raises(ConfigurationError):
-            RetryPolicy(multiplier=0.5)
-        with pytest.raises(ConfigurationError):
-            RetryPolicy(jitter=1.5)
-
-
-# ----------------------------------------------------------------------
-# CircuitBreaker
-# ----------------------------------------------------------------------
-
-
-class FakeClock:
-    def __init__(self):
-        self.now = 0.0
-
-    def __call__(self):
-        return self.now
-
-    def advance(self, seconds):
-        self.now += seconds
-
-
-class TestCircuitBreaker:
-    def test_open_half_open_close_cycle(self):
-        clock = FakeClock()
-        breaker = CircuitBreaker(failure_threshold=3, reset_seconds=10.0, clock=clock)
-        assert breaker.state == CircuitBreaker.CLOSED
-        for _ in range(3):
-            assert breaker.allow()
-            breaker.record_failure()
-        assert breaker.state == CircuitBreaker.OPEN
-        assert not breaker.allow()
-        with pytest.raises(CircuitOpenError):
-            breaker.check()
-        clock.advance(10.0)
-        assert breaker.state == CircuitBreaker.HALF_OPEN
-        assert breaker.allow()  # the single probe
-        assert not breaker.allow()  # concurrent dispatch refused
-        breaker.record_success()
-        assert breaker.state == CircuitBreaker.CLOSED
-        assert breaker.failures == 0
-
-    def test_half_open_failure_reopens(self):
-        clock = FakeClock()
-        breaker = CircuitBreaker(failure_threshold=1, reset_seconds=5.0, clock=clock)
-        breaker.record_failure()
-        assert breaker.state == CircuitBreaker.OPEN
-        clock.advance(5.0)
-        assert breaker.allow()
-        breaker.record_failure()
-        assert breaker.state == CircuitBreaker.OPEN
-        assert not breaker.allow()
-        assert breaker.open_events == 2
-
-    def test_success_resets_failure_streak(self):
-        breaker = CircuitBreaker(failure_threshold=2)
-        breaker.record_failure()
-        breaker.record_success()
-        breaker.record_failure()
-        assert breaker.state == CircuitBreaker.CLOSED
-
-    def test_invalid_options_rejected(self):
-        with pytest.raises(ConfigurationError):
-            CircuitBreaker(failure_threshold=0)
-        with pytest.raises(ConfigurationError):
-            CircuitBreaker(reset_seconds=-1.0)
-
-
-# ----------------------------------------------------------------------
 # Degradation chain
 # ----------------------------------------------------------------------
 
@@ -302,10 +192,6 @@ class TestFaultPlan:
         assert plan._fires("slow", "k", 0, 1.0)
         assert not plan._fires("slow", "k", 1, 1.0)
 
-    def test_crash_is_noop_in_main_process(self):
-        plan = FaultPlan(seed=0, worker_crash_probability=1.0)
-        plan.maybe_crash_worker("k", 0)  # must not kill the interpreter
-
     def test_corrupt_channel_injects_nan(self):
         plan = FaultPlan(seed=0, corrupt_channel_probability=1.0)
         matrix = np.ones((6, 2))
@@ -323,7 +209,7 @@ class TestFaultPlan:
 
     def test_invalid_probability_rejected(self):
         with pytest.raises(ConfigurationError):
-            FaultPlan(worker_crash_probability=1.5)
+            FaultPlan(slow_solve_probability=1.5)
         with pytest.raises(ConfigurationError):
             FaultPlan(slow_solve_seconds=-1.0)
 
@@ -346,11 +232,11 @@ def small_tasks():
 
 class TestPoolResilience:
     def test_hung_retry_is_bounded_without_policy(self, small_tasks):
-        """Satellite fix: a hung solve no longer blocks the batch forever.
+        """A hung solve never blocks the batch forever.
 
-        Both the pool attempt and the serial retry stall longer than the
-        task timeout; without a resilience policy the pool must now fail
-        explicitly (bounded retry) instead of hanging.
+        Every attempt stalls longer than the task timeout; without a
+        resilience policy the pool must fail explicitly instead of
+        hanging.
         """
         plan = FaultPlan(
             seed=0,
@@ -363,12 +249,13 @@ class TestPoolResilience:
                 channel=t.channel,
                 power_budget=t.power_budget,
                 solver="heuristic",
+                deadline=time.monotonic() + 30.0,
                 faults=plan,
                 fault_key=i,
             )
             for i, t in enumerate(small_tasks)
         ]
-        pool = SolverPool(PoolOptions(max_workers=2, task_timeout=0.1))
+        pool = SolverPool(PoolOptions(task_timeout=0.1))
         start = time.monotonic()
         with pytest.raises(RuntimeEngineError):
             pool.solve_many(tasks)
@@ -383,17 +270,16 @@ class TestPoolResilience:
                 channel=t.channel,
                 power_budget=t.power_budget,
                 solver="greedy",
+                deadline=time.monotonic() + 30.0,
                 faults=plan,
                 fault_key=i,
             )
             for i, t in enumerate(small_tasks)
         ]
         metrics = MetricsRegistry()
-        policy = ResiliencePolicy(
-            ResilienceOptions(retry=RetryPolicy(base_delay=0.0)), metrics
-        )
+        policy = ResiliencePolicy(ResilienceOptions(), metrics)
         pool = SolverPool(
-            PoolOptions(max_workers=2, task_timeout=0.1), metrics, resilience=policy
+            PoolOptions(task_timeout=0.1), metrics, resilience=policy
         )
         outcomes = pool.solve_outcomes(tasks)
         assert len(outcomes) == len(tasks)
@@ -413,7 +299,7 @@ class TestPoolResilience:
             deadline=time.monotonic() - 1.0,
         )
         policy = ResiliencePolicy(ResilienceOptions(), MetricsRegistry())
-        pool = SolverPool(PoolOptions(max_workers=0), resilience=policy)
+        pool = SolverPool(resilience=policy)
         outcome = pool.solve_outcomes([task])[0]
         assert outcome.degraded
         assert outcome.deadline_exceeded
@@ -429,25 +315,6 @@ class TestPoolResilience:
         policy = ResiliencePolicy(
             ResilienceOptions(degrade=False), MetricsRegistry()
         )
-        pool = SolverPool(PoolOptions(max_workers=0), resilience=policy)
+        pool = SolverPool(resilience=policy)
         with pytest.raises(DeadlineExceeded):
             pool.solve_outcomes([task])
-
-    def test_open_breaker_routes_serially(self, small_tasks):
-        metrics = MetricsRegistry()
-        policy = ResiliencePolicy(
-            ResilienceOptions(breaker_failure_threshold=1, breaker_reset_seconds=60.0),
-            metrics,
-        )
-        policy.breaker.record_failure()
-        assert policy.breaker.state == CircuitBreaker.OPEN
-        pool = SolverPool(
-            PoolOptions(max_workers=2), metrics, resilience=policy
-        )
-        reference = SolverPool(PoolOptions(max_workers=0)).solve_many(small_tasks)
-        outcomes = pool.solve_outcomes(small_tasks)
-        for expected, outcome in zip(reference, outcomes):
-            np.testing.assert_array_equal(outcome.swings, expected)
-            assert not outcome.degraded
-        snapshot = metrics.snapshot()
-        assert snapshot["counters"]["resilience.circuit_short_circuits"] == 1

@@ -18,7 +18,6 @@ from repro.runtime import (
     ChannelCache,
     LRUCache,
     MetricsRegistry,
-    PoolOptions,
     SOLVERS,
     ServiceOptions,
     SolverPool,
@@ -260,13 +259,6 @@ class TestSolverPool:
             for solver in ("heuristic", "greedy")
         ]
 
-    def test_serial_parallel_identical(self, tasks):
-        serial = SolverPool(PoolOptions(max_workers=0)).solve_many(tasks)
-        parallel = SolverPool(PoolOptions(max_workers=2)).solve_many(tasks)
-        assert len(serial) == len(parallel) == len(tasks)
-        for expected, actual in zip(serial, parallel):
-            np.testing.assert_allclose(actual, expected, atol=1e-9, rtol=0)
-
     def test_solve_task_matches_direct_solver(self, tasks):
         task = tasks[0]
         direct = RankingHeuristic(kappa=task.kappa).solve(task.problem())
@@ -279,7 +271,7 @@ class TestSolverPool:
 
     def test_pool_metrics_counted(self, tasks):
         metrics = MetricsRegistry()
-        SolverPool(PoolOptions(max_workers=0), metrics).solve_many(tasks[:3])
+        SolverPool(metrics=metrics).solve_many(tasks[:3])
         snapshot = metrics.snapshot()
         assert snapshot["counters"]["pool.tasks"] == 3
         assert snapshot["histograms"]["pool.solve_seconds"]["count"] == 3
@@ -700,14 +692,11 @@ class TestHealthSnapshot:
             **kwargs,
         )
 
-    def test_health_reports_cache_occupancy_and_breaker(
-        self, base_scene, placements
-    ):
+    def test_health_reports_cache_occupancy(self, base_scene, placements):
         service = AllocationService(base_scene)
         service.handle(self._request(placements, 0))
         health = service.health()
         assert health["status"] == "ok"
-        assert health["circuit"]["state"] == "closed"
         for block in health["caches"].values():
             assert block["size"] >= 0
             assert block["capacity"] > 0

@@ -356,7 +356,6 @@ class TestOutages:
         plan = compile_fault_plan(timeline, seed=0)
         assert plan.slow_solve_probability > 0.0
         assert plan.corrupt_channel_probability == 0.0
-        assert plan.worker_crash_probability == 0.0
 
     def test_outage_scenarios_carry_fault_plans(self):
         for name in ("led-outage", "degraded-luminaire"):

@@ -19,7 +19,6 @@ from repro.experiments.scenarios import fig6_instances
 from repro.runtime import (
     AllocationRequest,
     AllocationService,
-    PoolOptions,
     ServiceOptions,
     SolveTask,
     SolverPool,
@@ -175,12 +174,8 @@ class TestRecorderPayload:
 
 
 class TestServiceTracing:
-    def _service(self, scene, tracer, workers=0):
-        return AllocationService(
-            scene,
-            options=ServiceOptions(pool=PoolOptions(max_workers=workers)),
-            tracer=tracer,
-        )
+    def _service(self, scene, tracer):
+        return AllocationService(scene, tracer=tracer)
 
     def test_request_span_tree_shape(self, scene, placements):
         tracer = Tracer(TracingOptions(seed=3))
@@ -222,9 +217,11 @@ class TestServiceTracing:
         alloc = next(s for s in second if s.name == "allocation")
         assert alloc.attributes["cache_outcome"] == "hit"
 
-    def test_span_tree_across_process_pool(self, scene, placements):
+    def test_batch_solve_spans_attach_under_allocation(
+        self, scene, placements
+    ):
         tracer = Tracer(TracingOptions(seed=6))
-        service = self._service(scene, tracer, workers=2)
+        service = self._service(scene, tracer)
         batch = [_request(placements, i) for i in range(3)]
         service.handle_batch(batch)
         spans = tracer.finished_spans()
@@ -269,7 +266,7 @@ class TestServiceTracing:
             [(float(x), float(y)) for x, y in placements[0]]
         )
         channel = channel_matrix_stack(scene, positions[None, :, :])[0]
-        pool = SolverPool(PoolOptions(max_workers=0))
+        pool = SolverPool()
         task = SolveTask(channel=channel, power_budget=1.2)
         plain = pool.solve_outcomes([task])[0]
         traced = pool.solve_outcomes([SolveTask(
