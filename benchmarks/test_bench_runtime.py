@@ -6,20 +6,29 @@ Two comparisons on the Fig. 6-style random-placement sweep:
    ``node_gain`` per link) against one ``channel_matrix_stack``
    broadcast for 64 placements on the 36-TX grid.  The batched path
    must be at least 5x faster.
-2. Serving path: an uncached serial :class:`AllocationService` workload
-   against the cached engine on a repeated-placement workload.
+2. Serving path: the ``fig6-random`` replay (every request a distinct
+   placement, so every lookup misses) against the cached engine on the
+   ``fig6-hotmix`` replay (repeat placements hit the caches).  The
+   cached replay's report is committed as
+   ``benchmarks/results/bench_runtime.json``.
 """
 
+import json
 import time
 
 import numpy as np
 
 from repro.channel import node_gain
 from repro.experiments.scenarios import fig6_instances
-from repro.runtime import Tracer, channel_matrix_stack, run_benchmark
+from repro.obs import TraceRecorder, TraceReplayer, replay_service
+from repro.runtime import Tracer, channel_matrix_stack
 from repro.system import simulation_scene
 
 PLACEMENTS = 64
+
+
+def _replayer(scenario):
+    return TraceReplayer(TraceRecorder.record_scenario(scenario))
 
 
 def _loop_channel_stack(scene, placements):
@@ -37,7 +46,7 @@ def _loop_channel_stack(scene, placements):
     return stacks
 
 
-def test_bench_runtime(benchmark, record_rows):
+def test_bench_runtime(benchmark, record_rows, results_dir):
     placements = fig6_instances(instances=PLACEMENTS, seed=0)
     scene = simulation_scene([(float(x), float(y)) for x, y in placements[0]])
 
@@ -59,15 +68,14 @@ def test_bench_runtime(benchmark, record_rows):
 
     # Serving path: every request distinct and solved serially vs the
     # cached engine on a workload with placement locality.
-    serial = run_benchmark(
-        requests=100, distinct_placements=100, solver="heuristic", seed=0
-    )
-    cached = run_benchmark(
-        requests=100, distinct_placements=20, solver="heuristic", seed=0
-    )
+    serial = replay_service(_replayer("fig6-random"))
+    cached = replay_service(_replayer("fig6-hotmix"))
     serving_speedup = (
         cached.requests_per_second / serial.requests_per_second
     )
+    with open(results_dir / "bench_runtime.json", "w") as handle:
+        json.dump(cached.as_dict(), handle, indent=2, sort_keys=True)
+        handle.write("\n")
 
     rows = [
         "# Runtime engine: batched/cached/parallel vs per-pair serial",
@@ -75,7 +83,8 @@ def test_bench_runtime(benchmark, record_rows):
         f"  per-pair loop   {1e3 * loop_seconds:8.2f} ms",
         f"  batched         {1e3 * batch_seconds:8.2f} ms",
         f"  speedup         {channel_speedup:8.1f}x  (required: >= 5x)",
-        "serving path, 100 requests:",
+        f"serving path, {serial.scenario} ({serial.requests} requests) vs "
+        f"{cached.scenario} ({cached.requests} requests):",
         f"  serial uncached {serial.requests_per_second:8.1f} req/s "
         f"(hit-rate {100 * serial.allocation_hit_rate:.0f}%)",
         f"  cached engine   {cached.requests_per_second:8.1f} req/s "
@@ -109,21 +118,23 @@ def test_bench_tracing_overhead(record_rows):
     the regression being guarded is an accidental always-on span path,
     which costs far more than 30%.
     """
-    kwargs = dict(
-        requests=100, distinct_placements=20, solver="heuristic", seed=0
-    )
+    replayer = _replayer("fig6-hotmix")
     # Warm code paths, then interleave-measure best-of-3 to damp noise.
-    run_benchmark(requests=10, distinct_placements=5, solver="heuristic")
+    replay_service(_replayer("mirror-nlos"))
     plain_rps, disabled_rps = 0.0, 0.0
     for _ in range(3):
-        plain_rps = max(plain_rps, run_benchmark(**kwargs).requests_per_second)
+        plain_rps = max(plain_rps, replay_service(replayer).requests_per_second)
         disabled_rps = max(
             disabled_rps,
-            run_benchmark(tracer=Tracer.disabled(), **kwargs).requests_per_second,
+            replay_service(
+                replayer, tracer=Tracer.disabled()
+            ).requests_per_second,
         )
     overhead = plain_rps / disabled_rps - 1.0
 
-    traced = run_benchmark(tracer=Tracer(), **kwargs)
+    tracer = Tracer()
+    traced = replay_service(replayer, tracer=tracer)
+    traced_spans = len(tracer.finished_spans())
 
     rows = [
         "# Tracing overhead: disabled tracer vs plain serving path",
@@ -131,9 +142,9 @@ def test_bench_tracing_overhead(record_rows):
         f"  tracer disabled {disabled_rps:8.1f} req/s",
         f"  overhead        {100 * overhead:8.1f}%  (tolerance: <= 30%)",
         f"  tracer enabled  {traced.requests_per_second:8.1f} req/s "
-        f"({traced.traced_spans} spans)",
+        f"({traced_spans} spans)",
     ]
     record_rows("tracing_overhead", rows)
 
     assert overhead <= 0.30
-    assert traced.traced_spans > 0
+    assert traced_spans > 0

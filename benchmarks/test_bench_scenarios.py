@@ -10,8 +10,8 @@ drift in mobility models, seed derivation, fault compilation or request
 construction shows up as a digest mismatch, the same way a solver
 regression shows up in BENCH_cluster.json.
 
-The serve benchmarks then run two contrasting scenarios end to end and
-assert the engine behaviors the traces were designed to exercise:
+The serve benchmarks then replay two contrasting scenarios end to end
+and assert the engine behaviors the traces were designed to exercise:
 staggered mobility must hit the incremental-channel + warm-start path,
 and an outage scenario must keep answering under its compiled faults.
 """
@@ -21,11 +21,8 @@ import pathlib
 
 import pytest
 
-from repro.scenarios import (
-    build_scenario,
-    run_scenario_benchmark,
-    scenario_names,
-)
+from repro.obs import TraceRecorder, TraceReplayer, replay_service
+from repro.scenarios import build_scenario, scenario_names
 
 PINS_PATH = pathlib.Path(__file__).parent / "results" / "BENCH_scenarios.json"
 
@@ -63,26 +60,27 @@ def test_scenario_build_is_bit_identical():
         )
 
 
+def _replay(name):
+    trace = TraceRecorder.record_scenario(name)
+    assert trace.requests == _pins()[name]["requests"]
+    return replay_service(TraceReplayer(trace))
+
+
 @pytest.mark.smoke
 def test_bench_mobility_scenario(record_rows):
-    report = run_scenario_benchmark("waypoint-fleet")
+    report = _replay("waypoint-fleet")
     record_rows("scenario_waypoint_fleet", report.lines())
-    assert report.requests == _pins()["waypoint-fleet"]["requests"]
-    assert report.workload_digest == (
-        _pins()["waypoint-fleet"]["workload_digest"]
-    )
+    assert report.served == report.requests
     # The staggered fleet must route down the paths it was built for.
-    assert report.incremental_updates > 0
-    assert report.warm_starts > 0
-    assert report.health_status in ("ok", "degraded")
+    assert report.counters["service.channel_incremental"] > 0
+    assert report.counters["service.warm_starts"] > 0
 
 
 @pytest.mark.smoke
 def test_bench_outage_scenario(record_rows):
-    report = run_scenario_benchmark("led-outage")
+    report = _replay("led-outage")
     record_rows("scenario_led_outage", report.lines())
-    assert report.requests == _pins()["led-outage"]["requests"]
-    assert report.workload_digest == _pins()["led-outage"]["workload_digest"]
     # Compiled faults are injected, yet every request gets an answer.
-    assert report.metadata["corrupt_channel_probability"] > 0.0
-    assert report.health_status in ("ok", "degraded")
+    assert build_scenario("led-outage").fault_plan is not None
+    assert report.counters["resilience.channel_repairs"] > 0
+    assert report.served == report.requests

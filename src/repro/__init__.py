@@ -13,7 +13,7 @@ package is organized bottom-up:
   the ranking heuristic (Algorithm 1) and the SISO/D-MISO baselines;
 - :mod:`repro.simulation` -- the discrete-event network simulator;
 - :mod:`repro.runtime` -- the batched/cached/parallel allocation-serving
-  engine (``repro bench``);
+  engine (benchmarked by ``repro record`` + ``repro replay``);
 - :mod:`repro.experiments` -- one runner per paper table/figure.
 
 Quickstart::

@@ -5,10 +5,11 @@
     python -m repro list                    # available experiments
     python -m repro run fig04               # one experiment, summary out
     python -m repro report --fidelity fast  # the consolidated report
-    python -m repro bench --requests 100    # allocation-engine benchmark
-    python -m repro bench --trace out.json  # ... with Perfetto span trees
-    python -m repro cluster-bench --shards 4  # sharded-cluster benchmark
-    python -m repro metrics                 # Prometheus metrics exposition
+    python -m repro record fig6-random      # a scenario -> JSONL trace
+    python -m repro replay fig6-random.trace.jsonl           # benchmark it
+    python -m repro replay t.jsonl --trace out.json          # + span trees
+    python -m repro replay t.jsonl --cluster --baseline      # sharded cluster
+    python -m repro replay t.jsonl --metrics-prom -          # Prometheus text
     python -m repro lint src tests          # invariant static analysis
 """
 
@@ -177,6 +178,15 @@ EXPERIMENTS: Dict[str, Callable[[], str]] = {
 }
 
 
+def _write_output(path: str, text: str) -> None:
+    """Write *text* to *path*, or to stdout when *path* is ``-``."""
+    if path == "-":
+        sys.stdout.write(text)
+        return
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(text)
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -193,230 +203,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--fidelity", choices=("fast", "full"), default="fast"
     )
     report_parser.add_argument("--output", default="-")
-    bench_parser = subparsers.add_parser(
-        "bench", help="benchmark the allocation-serving runtime engine"
-    )
-    bench_parser.add_argument(
-        "--scenario",
-        default=None,
-        metavar="NAME",
-        help="serve a named repro.scenarios workload instead of the "
-        "random placement mix ('list' prints the registry); --seed picks "
-        "the scenario seed, workload flags are ignored",
-    )
-    bench_parser.add_argument(
-        "--requests", type=int, default=100, help="number of requests to serve"
-    )
-    bench_parser.add_argument(
-        "--distinct",
-        type=int,
-        default=25,
-        help="distinct random placements the requests are drawn from",
-    )
-    bench_parser.add_argument(
-        "--solver",
-        default="heuristic",
-        choices=("binary", "greedy", "heuristic", "optimal", "swing"),
-        help="allocation solver",
-    )
-    bench_parser.add_argument(
-        "--budget", type=float, default=1.2, help="power budget [W]"
-    )
-    bench_parser.add_argument(
-        "--batch-size",
-        type=int,
-        default=1,
-        help="requests per service batch (1 = one request at a time)",
-    )
-    bench_parser.add_argument("--cache-size", type=int, default=256)
-    bench_parser.add_argument("--seed", type=int, default=0)
-    bench_parser.add_argument(
-        "--deadline",
-        type=float,
-        default=None,
-        help="per-request latency budget [s]; expiring solves degrade "
-        "down the solver chain instead of blocking",
-    )
-    bench_parser.add_argument(
-        "--trace",
-        default=None,
-        metavar="PATH",
-        help="write a Chrome-trace/Perfetto JSON of every request's span "
-        "tree (load at https://ui.perfetto.dev)",
-    )
-    bench_parser.add_argument(
-        "--trace-events",
-        default=None,
-        metavar="PATH",
-        help="write the span buffer as JSON lines (one span per line)",
-    )
-    bench_parser.add_argument(
-        "--sample-rate",
-        type=float,
-        default=1.0,
-        help="fraction of request traces recorded (deterministic per "
-        "trace index; only meaningful with --trace/--trace-events)",
-    )
-    bench_parser.add_argument(
-        "--metrics-json",
-        default=None,
-        metavar="PATH",
-        help="write the metrics snapshot (labeled counters/gauges/"
-        "histograms) as JSON",
-    )
-    bench_parser.add_argument(
-        "--metrics-prom",
-        default=None,
-        metavar="PATH",
-        help="write the metrics in Prometheus text exposition format",
-    )
-    bench_parser.add_argument(
-        "--json",
-        default=None,
-        metavar="PATH",
-        help="write the benchmark report (p50/p95, req/s, stage "
-        "breakdown) as JSON ('-' for stdout)",
-    )
-    bench_parser.add_argument(
-        "--attribution",
-        action="store_true",
-        help="print the per-stage latency-attribution table (self vs "
-        "child time by solver tier and cache outcome; enables tracing)",
-    )
-    bench_parser.add_argument(
-        "--exemplars",
-        action="store_true",
-        help="render OpenMetrics trace-id exemplars on histogram "
-        "buckets in --metrics-prom output",
-    )
-    bench_parser.add_argument(
-        "--no-slo",
-        action="store_true",
-        help="skip the default SLO tracker (availability + tail "
-        "latency objectives)",
-    )
-    cluster_parser = subparsers.add_parser(
-        "cluster-bench",
-        help="benchmark the sharded cluster against a single service",
-    )
-    cluster_parser.add_argument(
-        "--scenario",
-        default=None,
-        metavar="NAME",
-        help="serve a named repro.scenarios workload instead of the "
-        "mixed-room generator ('list' prints the registry); --seed picks "
-        "the scenario seed, workload flags are ignored",
-    )
-    cluster_parser.add_argument(
-        "--shards", type=int, default=4, help="number of service shards"
-    )
-    cluster_parser.add_argument(
-        "--rate",
-        type=float,
-        default=0.0,
-        help="offered request rate [req/s]; 0 = closed-loop (all "
-        "requests arrive at once)",
-    )
-    cluster_parser.add_argument(
-        "--requests", type=int, default=200, help="number of requests to serve"
-    )
-    cluster_parser.add_argument(
-        "--distinct",
-        type=int,
-        default=25,
-        help="distinct random placements the requests are drawn from",
-    )
-    cluster_parser.add_argument(
-        "--solver",
-        default="heuristic",
-        choices=("binary", "greedy", "heuristic", "optimal", "swing"),
-        help="allocation solver",
-    )
-    cluster_parser.add_argument(
-        "--budget", type=float, default=1.2, help="power budget [W]"
-    )
-    cluster_parser.add_argument(
-        "--deadline",
-        type=float,
-        default=None,
-        help="per-request latency budget [s]; unmeetable requests are "
-        "shed at admission instead of served late",
-    )
-    cluster_parser.add_argument(
-        "--batch-max",
-        type=int,
-        default=16,
-        help="max requests a shard worker drains into one dispatch",
-    )
-    cluster_parser.add_argument(
-        "--hot-rooms",
-        type=int,
-        default=4,
-        help="placements receiving the hot share of the traffic",
-    )
-    cluster_parser.add_argument(
-        "--hot-fraction",
-        type=float,
-        default=0.5,
-        help="fraction of requests hitting the hot rooms",
-    )
-    cluster_parser.add_argument("--cache-size", type=int, default=256)
-    cluster_parser.add_argument("--seed", type=int, default=0)
-    cluster_parser.add_argument(
-        "--no-baseline",
-        action="store_true",
-        help="skip the sequential single-service comparison run",
-    )
-    cluster_parser.add_argument(
-        "--knee",
-        action="store_true",
-        help="sweep escalating offered rates to find the req/s knee",
-    )
-    cluster_parser.add_argument(
-        "--json",
-        default=None,
-        metavar="PATH",
-        help="write the cluster benchmark report as JSON ('-' for stdout)",
-    )
-    cluster_parser.add_argument(
-        "--metrics-prom",
-        default=None,
-        metavar="PATH",
-        help="write the merged shard-labeled Prometheus exposition",
-    )
-    cluster_parser.add_argument(
-        "--exemplars",
-        action="store_true",
-        help="render OpenMetrics trace-id exemplars on histogram "
-        "buckets in --metrics-prom output",
-    )
-    cluster_parser.add_argument(
-        "--no-slo",
-        action="store_true",
-        help="skip the default SLO tracker (availability + tail "
-        "latency objectives)",
-    )
-    metrics_parser = subparsers.add_parser(
-        "metrics",
-        help="serve a small workload and print the metrics exposition",
-    )
-    metrics_parser.add_argument(
-        "--requests", type=int, default=24, help="workload size"
-    )
-    metrics_parser.add_argument("--distinct", type=int, default=6)
-    metrics_parser.add_argument(
-        "--solver",
-        default="heuristic",
-        choices=("binary", "greedy", "heuristic", "optimal", "swing"),
-    )
-    metrics_parser.add_argument("--seed", type=int, default=0)
-    metrics_parser.add_argument(
-        "--format",
-        choices=("prometheus", "json"),
-        default="prometheus",
-        help="exposition format (Prometheus text or the JSON snapshot)",
-    )
-    metrics_parser.add_argument("--output", default="-")
     record_parser = subparsers.add_parser(
         "record",
         help="record a scenario's request stream as a replayable "
@@ -439,7 +225,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="replay a recorded trace against the service or cluster",
     )
     replay_parser.add_argument(
-        "trace", metavar="PATH", help="JSONL trace file to replay"
+        "trace_file", metavar="TRACE", help="JSONL trace file to replay"
     )
     replay_parser.add_argument(
         "--mode",
@@ -462,6 +248,21 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--cluster pacing)",
     )
     replay_parser.add_argument(
+        "--solver",
+        default=None,
+        choices=("binary", "greedy", "heuristic", "optimal", "swing"),
+        help="serve every request with this solver instead of the "
+        "recorded one (the report's stream digest names the override)",
+    )
+    replay_parser.add_argument(
+        "--deadline",
+        type=float,
+        default=None,
+        help="give every request this latency budget [s]; expiring "
+        "solves degrade down the solver chain, the cluster sheds "
+        "unmeetable requests at admission",
+    )
+    replay_parser.add_argument(
         "--cluster",
         action="store_true",
         help="replay through the sharded cluster front door instead "
@@ -469,6 +270,19 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     replay_parser.add_argument(
         "--shards", type=int, default=4, help="cluster shards"
+    )
+    replay_parser.add_argument(
+        "--batch-max",
+        type=int,
+        default=16,
+        help="with --cluster: max requests a shard worker drains into "
+        "one dispatch",
+    )
+    replay_parser.add_argument(
+        "--baseline",
+        action="store_true",
+        help="with --cluster: also serve the trace sequentially on one "
+        "service and report the cluster's speedup over it",
     )
     replay_parser.add_argument("--cache-size", type=int, default=256)
     replay_parser.add_argument(
@@ -480,8 +294,48 @@ def main(argv: Optional[List[str]] = None) -> int:
     replay_parser.add_argument(
         "--attribution",
         action="store_true",
-        help="print the per-stage latency-attribution table "
-        "(single-service replays; enables tracing)",
+        help="record per-stage self times in the report (enables "
+        "tracing)",
+    )
+    replay_parser.add_argument(
+        "--trace",
+        default=None,
+        metavar="PATH",
+        help="write a Chrome-trace/Perfetto JSON of every request's span "
+        "tree (load at https://ui.perfetto.dev)",
+    )
+    replay_parser.add_argument(
+        "--trace-events",
+        default=None,
+        metavar="PATH",
+        help="write the span buffer as JSON lines (one span per line)",
+    )
+    replay_parser.add_argument(
+        "--sample-rate",
+        type=float,
+        default=1.0,
+        help="fraction of request traces recorded (deterministic per "
+        "trace index; only meaningful when tracing)",
+    )
+    replay_parser.add_argument(
+        "--metrics-json",
+        default=None,
+        metavar="PATH",
+        help="write the metrics snapshot (labeled counters/gauges/"
+        "histograms) as JSON ('-' for stdout)",
+    )
+    replay_parser.add_argument(
+        "--metrics-prom",
+        default=None,
+        metavar="PATH",
+        help="write the metrics in Prometheus text exposition format "
+        "('-' for stdout; shard-labeled with --cluster)",
+    )
+    replay_parser.add_argument(
+        "--exemplars",
+        action="store_true",
+        help="render OpenMetrics trace-id exemplars on histogram "
+        "buckets in --metrics-prom output (enables tracing)",
     )
     replay_parser.add_argument(
         "--no-slo",
@@ -498,7 +352,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--ledger",
         default=None,
         metavar="PATH",
-        help="append the PerfReport to this perf-trajectory ledger",
+        help="append the PerfReport (and the baseline's) to this "
+        "perf-trajectory ledger",
     )
     perf_parser = subparsers.add_parser(
         "perf",
@@ -566,265 +421,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return report_module.main(
             ["--fidelity", args.fidelity, "--output", args.output]
         )
-    if args.command == "bench":
-        import json
-
-        from .errors import DenseVLCError
-        from .runtime import (
-            Tracer,
-            TracingOptions,
-            benchmark_service,
-            run_benchmark,
-        )
-
-        from .obs import SLOTracker
-
-        slo_tracker = None if args.no_slo else SLOTracker()
-        if args.scenario is not None:
-            from .scenarios import run_scenario_benchmark, scenario_names
-
-            if args.scenario == "list":
-                for name in scenario_names():
-                    print(name)
-                return 0
-            try:
-                scenario_report = run_scenario_benchmark(
-                    args.scenario,
-                    seed=args.seed,
-                    cache_capacity=args.cache_size,
-                    slo=slo_tracker,
-                )
-            except DenseVLCError as exc:
-                print(f"repro bench: error: {exc}", file=sys.stderr)
-                return 2
-            if args.json is not None:
-                payload = json.dumps(
-                    scenario_report.as_dict(), indent=2, sort_keys=True
-                )
-                if args.json == "-":
-                    print(payload)
-                else:
-                    with open(args.json, "w", encoding="utf-8") as handle:
-                        handle.write(payload + "\n")
-            for line in scenario_report.lines():
-                print(line)
-            return 0
-
-        tracing = (
-            args.trace is not None
-            or args.trace_events is not None
-            or args.attribution
-        )
-        exposing = args.metrics_json is not None or args.metrics_prom is not None
-        try:
-            service = None
-            if tracing or exposing:
-                tracer = (
-                    Tracer(
-                        TracingOptions(
-                            sample_rate=args.sample_rate, seed=args.seed
-                        )
-                    )
-                    if tracing
-                    else None
-                )
-                service = benchmark_service(
-                    distinct_placements=args.distinct,
-                    cache_capacity=args.cache_size,
-                    seed=args.seed,
-                    tracer=tracer,
-                )
-            report = run_benchmark(
-                requests=args.requests,
-                distinct_placements=args.distinct,
-                solver=args.solver,
-                power_budget=args.budget,
-                cache_capacity=args.cache_size,
-                batch_size=args.batch_size,
-                seed=args.seed,
-                service=service,
-                deadline_seconds=args.deadline,
-                slo=slo_tracker,
-            )
-        except DenseVLCError as exc:
-            print(f"repro bench: error: {exc}", file=sys.stderr)
-            return 2
-        if service is not None:
-            if args.trace is not None:
-                service.tracer.export_chrome_trace(args.trace)
-            if args.trace_events is not None:
-                service.tracer.export_events(args.trace_events)
-            if args.metrics_json is not None:
-                with open(args.metrics_json, "w", encoding="utf-8") as handle:
-                    json.dump(
-                        service.metrics_snapshot(), handle, indent=2,
-                        sort_keys=True,
-                    )
-            if args.metrics_prom is not None:
-                with open(args.metrics_prom, "w", encoding="utf-8") as handle:
-                    handle.write(
-                        service.metrics.expose_prometheus(
-                            prefix="repro_", exemplars=args.exemplars
-                        )
-                    )
-        if args.json is not None:
-            payload = json.dumps(report.as_dict(), indent=2, sort_keys=True)
-            if args.json == "-":
-                print(payload)
-            else:
-                with open(args.json, "w", encoding="utf-8") as handle:
-                    handle.write(payload + "\n")
-        for line in report.lines():
-            print(line)
-        if args.attribution and service is not None:
-            from .obs import attribution_table, render_attribution
-
-            print()
-            for line in render_attribution(
-                attribution_table(service.tracer.finished_spans())
-            ):
-                print(line)
-        return 0
-    if args.command == "cluster-bench":
-        import json
-
-        from .cluster import (
-            ClusterController,
-            ClusterOptions,
-            cluster_workload,
-            run_cluster_benchmark,
-        )
-        from .cluster.bench import _shard_service_options
-        from .errors import DenseVLCError
-
-        if args.scenario == "list":
-            from .scenarios import scenario_names
-
-            for name in scenario_names():
-                print(name)
-            return 0
-        try:
-            scenario_scene = None
-            scenario_workload = None
-            if args.scenario is not None:
-                from .scenarios import scenario_cluster_workload
-
-                scenario_scene, scenario_workload, instance = (
-                    scenario_cluster_workload(args.scenario, seed=args.seed)
-                )
-                print(
-                    f"scenario            {instance.name} "
-                    f"(seed {instance.seed}, digest "
-                    f"{instance.workload_digest()})"
-                )
-            controller = None
-            if args.metrics_prom is not None:
-                # Pre-build the controller so its registries stay
-                # readable after the run; the workload is a pure
-                # function of the seed, so the scene matches.
-                if scenario_scene is not None:
-                    scene = scenario_scene
-                else:
-                    scene, _ = cluster_workload(
-                        requests=args.requests,
-                        distinct_placements=args.distinct,
-                        hot_rooms=args.hot_rooms,
-                        hot_fraction=args.hot_fraction,
-                        solver=args.solver,
-                        power_budget=args.budget,
-                        deadline_seconds=args.deadline,
-                        seed=args.seed,
-                    )
-                cluster_tracer = None
-                if args.exemplars:
-                    # Exemplars link histogram buckets to trace IDs, so
-                    # rendering them needs traced requests.
-                    from .runtime import Tracer, TracingOptions
-
-                    cluster_tracer = Tracer(TracingOptions(seed=args.seed))
-                controller = ClusterController(
-                    scene,
-                    options=ClusterOptions(
-                        shards=args.shards,
-                        service=_shard_service_options(args.cache_size),
-                    ),
-                    tracer=cluster_tracer,
-                )
-            from .obs import SLOTracker
-
-            report = run_cluster_benchmark(
-                requests=args.requests,
-                shards=args.shards,
-                distinct_placements=args.distinct,
-                solver=args.solver,
-                power_budget=args.budget,
-                rate=args.rate,
-                deadline_seconds=args.deadline,
-                batch_max=args.batch_max,
-                cache_capacity=args.cache_size,
-                hot_rooms=args.hot_rooms,
-                hot_fraction=args.hot_fraction,
-                seed=args.seed,
-                baseline=not args.no_baseline,
-                knee=args.knee,
-                controller=controller,
-                scene=scenario_scene,
-                workload=scenario_workload,
-                slo=None if args.no_slo else SLOTracker(),
-            )
-        except DenseVLCError as exc:
-            print(f"repro cluster-bench: error: {exc}", file=sys.stderr)
-            return 2
-        if controller is not None and args.metrics_prom is not None:
-            with open(args.metrics_prom, "w", encoding="utf-8") as handle:
-                handle.write(
-                    controller.expose_prometheus(
-                        prefix="repro_", exemplars=args.exemplars
-                    )
-                )
-        if args.json is not None:
-            payload = json.dumps(report.as_dict(), indent=2, sort_keys=True)
-            if args.json == "-":
-                print(payload)
-            else:
-                with open(args.json, "w", encoding="utf-8") as handle:
-                    handle.write(payload + "\n")
-        for line in report.lines():
-            print(line)
-        return 0
-    if args.command == "metrics":
-        import json
-
-        from .errors import DenseVLCError
-        from .runtime import benchmark_service, run_benchmark
-
-        try:
-            service = benchmark_service(
-                distinct_placements=args.distinct,
-                seed=args.seed,
-            )
-            run_benchmark(
-                requests=args.requests,
-                distinct_placements=args.distinct,
-                solver=args.solver,
-                seed=args.seed,
-                service=service,
-            )
-        except DenseVLCError as exc:
-            print(f"repro metrics: error: {exc}", file=sys.stderr)
-            return 2
-        if args.format == "prometheus":
-            text = service.metrics.expose_prometheus(prefix="repro_")
-        else:
-            text = json.dumps(
-                service.metrics_snapshot(), indent=2, sort_keys=True
-            ) + "\n"
-        if args.output == "-":
-            sys.stdout.write(text)
-        else:
-            with open(args.output, "w", encoding="utf-8") as handle:
-                handle.write(text)
-        return 0
     if args.command == "record":
         from .errors import DenseVLCError
         from .obs import TraceRecorder
@@ -855,66 +451,121 @@ def main(argv: Optional[List[str]] = None) -> int:
             SLOTracker,
             TraceReplayer,
             append_to_ledger,
+            cluster_for,
             knee_from_trace,
             replay_cluster,
+            replay_sequential,
             replay_service,
+            service_for,
         )
+        from .runtime import Tracer, TracingOptions
 
         try:
-            if not os.path.exists(args.trace):
+            if not os.path.exists(args.trace_file):
                 raise ConfigurationError(
-                    f"trace file {args.trace!r} does not exist"
+                    f"trace file {args.trace_file!r} does not exist"
                 )
-            replayer = TraceReplayer.load(args.trace)
+            replayer = TraceReplayer.load(args.trace_file).with_overrides(
+                solver=args.solver, deadline_seconds=args.deadline
+            )
+            tracer = None
+            if (
+                args.attribution
+                or args.exemplars
+                or args.trace is not None
+                or args.trace_events is not None
+            ):
+                tracer = Tracer(
+                    TracingOptions(
+                        sample_rate=args.sample_rate,
+                        seed=replayer.trace.seed,
+                    )
+                )
             slo_tracker = None if args.no_slo else SLOTracker()
+            baseline = None
+            knee_points: List[Dict[str, float]] = []
             if args.cluster:
+                controller = cluster_for(
+                    replayer, args.shards, args.cache_size, tracer
+                )
                 report = replay_cluster(
                     replayer,
-                    shards=args.shards,
                     rate=args.rate,
-                    cache_capacity=args.cache_size,
+                    batch_max=args.batch_max,
                     slo=slo_tracker,
+                    controller=controller,
                 )
-            else:
-                tracer = None
-                if args.attribution:
-                    from .runtime import Tracer, TracingOptions
-
-                    tracer = Tracer(
-                        TracingOptions(seed=replayer.trace.seed)
+                metrics_snapshot = controller.metrics_snapshot
+                expose = controller.expose_prometheus
+                target_tracer = controller.tracer
+                if args.baseline:
+                    baseline = replay_sequential(
+                        replayer, cache_capacity=args.cache_size
                     )
+                if args.knee:
+                    knee_points = knee_from_trace(
+                        replayer,
+                        shards=args.shards,
+                        batch_max=args.batch_max,
+                        cache_capacity=args.cache_size,
+                    )
+            else:
+                service = service_for(replayer, args.cache_size, tracer)
                 report = replay_service(
                     replayer,
                     mode=args.mode,
                     speed=args.speed,
                     rate=args.rate,
-                    cache_capacity=args.cache_size,
-                    tracer=tracer,
                     slo=slo_tracker,
+                    service=service,
                 )
-            knee_points = (
-                knee_from_trace(
-                    replayer,
-                    shards=args.shards,
-                    cache_capacity=args.cache_size,
-                )
-                if args.cluster and args.knee
-                else []
-            )
+                metrics_snapshot = service.metrics_snapshot
+                expose = service.metrics.expose_prometheus
+                target_tracer = service.tracer
         except DenseVLCError as exc:
             print(f"repro replay: error: {exc}", file=sys.stderr)
             return 2
+        if args.trace is not None:
+            target_tracer.export_chrome_trace(args.trace)
+        if args.trace_events is not None:
+            target_tracer.export_events(args.trace_events)
+        if args.metrics_json is not None:
+            _write_output(
+                args.metrics_json,
+                json.dumps(metrics_snapshot(), indent=2, sort_keys=True)
+                + "\n",
+            )
+        if args.metrics_prom is not None:
+            _write_output(
+                args.metrics_prom,
+                expose(prefix="repro_", exemplars=args.exemplars),
+            )
         if args.ledger is not None:
             append_to_ledger(report, args.ledger)
+            if baseline is not None:
+                append_to_ledger(baseline, args.ledger)
         if args.json is not None:
-            payload = json.dumps(report.as_dict(), indent=2, sort_keys=True)
-            if args.json == "-":
-                print(payload)
-            else:
-                with open(args.json, "w", encoding="utf-8") as handle:
-                    handle.write(payload + "\n")
+            _write_output(
+                args.json,
+                json.dumps(report.as_dict(), indent=2, sort_keys=True)
+                + "\n",
+            )
         for line in report.lines():
             print(line)
+        dropped = target_tracer.dropped_spans
+        if dropped:
+            print(
+                f"WARNING: {dropped} spans dropped (buffer full) -- stage "
+                "self times are incomplete; raise TracingOptions.max_spans"
+            )
+        if baseline is not None:
+            print()
+            for line in baseline.lines():
+                print(line)
+            speedup = (
+                report.requests_per_second / baseline.requests_per_second
+            )
+            print(f"speedup             {speedup:.2f}x")
         for point in knee_points:
             print(
                 f"knee rate {point['offered_rps']:.0f}/s -> "

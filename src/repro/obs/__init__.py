@@ -26,9 +26,13 @@ from .ledger import (
 )
 from .replay import (
     REPLAY_MODES,
+    cluster_for,
+    find_knee,
     knee_from_trace,
     replay_cluster,
+    replay_sequential,
     replay_service,
+    service_for,
 )
 from .slo import SLObjective, SLOTracker, default_objectives
 from .trace import (
@@ -55,9 +59,13 @@ __all__ = [
     "latest_report",
     "load_ledger",
     "REPLAY_MODES",
+    "cluster_for",
+    "find_knee",
     "knee_from_trace",
     "replay_cluster",
+    "replay_sequential",
     "replay_service",
+    "service_for",
     "SLObjective",
     "SLOTracker",
     "default_objectives",

@@ -1,9 +1,10 @@
 """The committed perf-trajectory ledger and its regression diff.
 
 One :class:`PerfReport` summarizes one replay run -- throughput, tail
-latency, shed/degraded/hit rates, per-stage self-times from the span
-fold, and an environment fingerprint so numbers from different hosts
-are never compared blindly.  Reports append to a JSON ledger
+latency, shed/degraded/hit rates, the serving stack's counters,
+per-stage self-times from the span fold, and an environment
+fingerprint so numbers from different hosts are never compared
+blindly.  Reports append to a JSON ledger
 (``benchmarks/results/BENCH_trajectory.json``): the perf *trajectory*
 across PRs, not a single pin.  :func:`diff_reports` compares two
 reports under the regression thresholds the CI gate enforces --
@@ -73,12 +74,16 @@ class PerfReport:
     """One replay run's performance summary, one ledger entry.
 
     ``label`` identifies the comparable series inside the trajectory
-    (``service:led-outage``, ``cluster:mirror-nlos``); diffs only make
-    sense between entries sharing a label.  ``stream_digest`` pins the
-    exact request stream served, so a diff across differing digests is
-    comparing different workloads and :func:`diff_reports` refuses it.
-    ``p99_latency_ms`` is 0.0 where the serving path does not expose a
-    p99 (the cluster front door reports p50/p95 sojourns).
+    (``service:led-outage``, ``cluster:mirror-nlos``,
+    ``sequential:fig6-hotmix``); diffs only make sense between entries
+    sharing a label.  ``stream_digest`` pins the exact request stream
+    served, so a diff across differing digests is comparing different
+    workloads and :func:`diff_reports` refuses it.  ``counters`` is the
+    serving stack's counter snapshot at the end of the run (summed over
+    shards for the cluster): coalescing, dispatches, shedding by
+    reason, incremental channel updates, warm starts, resilience.
+    Entries written before ``counters`` existed load with an empty
+    dict; older cluster entries carry a ``p99_latency_ms`` of 0.0.
     """
 
     label: str
@@ -101,6 +106,7 @@ class PerfReport:
     allocation_hit_rate: float = 0.0
     stage_self_ms: Dict[str, float] = field(default_factory=dict)
     slo: Dict[str, Any] = field(default_factory=dict)
+    counters: Dict[str, float] = field(default_factory=dict)
     environment: Dict[str, Any] = field(default_factory=dict)
     created: str = ""
 
@@ -133,6 +139,20 @@ class PerfReport:
         )
         if self.degraded_rate:
             lines.append(f"degraded rate       {self.degraded_rate:.3f}")
+        counters = self.counters
+        dispatches = counters.get("cluster.dispatches", 0.0)
+        if dispatches:
+            lines.append(
+                f"coalesced           {counters.get('cluster.coalesced', 0):.0f}"
+                f"  dispatches {dispatches:.0f} (mean batch "
+                f"{counters.get('service.requests', 0) / dispatches:.1f})"
+            )
+        for key, value in sorted(counters.items()):
+            if key.startswith(("cluster.shed{", "resilience.")) or key in (
+                "service.channel_incremental",
+                "service.warm_starts",
+            ):
+                lines.append(f"{key:<35} {value:.0f}")
         for stage, self_ms in sorted(
             self.stage_self_ms.items(), key=lambda item: -item[1]
         ):
@@ -167,6 +187,7 @@ class PerfReport:
             "allocation_hit_rate": self.allocation_hit_rate,
             "stage_self_ms": dict(self.stage_self_ms),
             "slo": dict(self.slo),
+            "counters": dict(self.counters),
             "environment": dict(self.environment),
             "created": self.created,
         }
@@ -194,6 +215,10 @@ class PerfReport:
             allocation_hit_rate=float(data.get("allocation_hit_rate", 0.0)),
             stage_self_ms=dict(data.get("stage_self_ms", {})),
             slo=dict(data.get("slo", {})),
+            counters={
+                key: float(value)
+                for key, value in data.get("counters", {}).items()
+            },
             environment=dict(data.get("environment", {})),
             created=str(data.get("created", "")),
         )

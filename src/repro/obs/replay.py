@@ -1,8 +1,9 @@
-"""Replay recorded traces against the serving stacks.
+"""Replay recorded traces against the serving stacks: the one runner.
 
 The replayer half of the load harness: a loaded
 :class:`~repro.obs.trace.TraceReplayer` is the *source*; this module
-supplies the rate policy and the serving target.
+supplies the rate policy and the serving target, and every run comes
+back as one :class:`~repro.obs.ledger.PerfReport`.
 
 Modes (``replay_service``):
 
@@ -16,11 +17,15 @@ Modes (``replay_service``):
   arrival instant batched into one ``handle_batch`` (deterministic
   request stream, the mode the CI perf gate replays).
 
-``replay_cluster`` drives the same trace through the sharded front door
-(closed-loop, or rate-paced with ``rate > 0``), and
-:func:`knee_from_trace` escalates offered rates over a fresh cluster
-per step via the generic :func:`repro.cluster.bench.find_knee` -- the
-knee finder works on any replayable source.
+Service replays report per-request service time (the service's own
+latency histogram).  ``replay_cluster`` drives the same trace through
+the sharded front door -- closed-loop (the whole trace arrives at
+once), or paced ``1/rate`` apart -- and ``replay_sequential`` serves it
+back to back on one service, the baseline the cluster's speedup is
+measured against.  Both report *sojourn* latency: time from the common
+arrival instant to each request's completion, so queueing delay is
+charged equally.  :func:`knee_from_trace` escalates offered rates over
+a fresh cluster per step via :func:`find_knee`.
 
 Replays rebuild the named scenario's *scene* (and fault plan) from the
 registry and verify its fingerprint against the trace header, so a
@@ -29,11 +34,27 @@ drifted scenario fails loudly instead of replaying a different room.
 
 from __future__ import annotations
 
+import asyncio
 import time
-from typing import Any, Dict, List, Optional
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
-from ..errors import ConfigurationError
+import numpy as np
+
+from ..cluster import ClusterController, ClusterOptions
+from ..cluster.frontend import ClusterFrontend, FrontendOptions
+from ..errors import ConfigurationError, RequestShedError
+from ..runtime.metrics import MetricsRegistry
 from ..runtime.service import (
+    AllocationRequest,
     AllocationResult,
     AllocationService,
     ServiceOptions,
@@ -46,9 +67,13 @@ from .trace import TraceReplayer
 
 __all__ = [
     "REPLAY_MODES",
+    "cluster_for",
+    "find_knee",
     "knee_from_trace",
     "replay_cluster",
+    "replay_sequential",
     "replay_service",
+    "service_for",
 ]
 
 REPLAY_MODES = ("recorded", "scaled", "fixed", "closed")
@@ -77,6 +102,50 @@ def _scenario_instance(replayer: TraceReplayer) -> Any:
     return instance
 
 
+def _service_options(instance: Any, cache_capacity: int) -> ServiceOptions:
+    return ServiceOptions(
+        channel_cache_capacity=cache_capacity,
+        allocation_cache_capacity=4 * cache_capacity,
+        faults=instance.fault_plan,
+    )
+
+
+def service_for(
+    replayer: TraceReplayer,
+    cache_capacity: int = 256,
+    tracer: Optional[Tracer] = None,
+) -> AllocationService:
+    """A fresh service over the trace's scene, with its fault plan.
+
+    Build one up front to keep its metrics registry and tracer readable
+    after :func:`replay_service` returns (trace and metrics export).
+    """
+    instance = _scenario_instance(replayer)
+    return AllocationService(
+        instance.scene,
+        options=_service_options(instance, cache_capacity),
+        tracer=tracer,
+    )
+
+
+def cluster_for(
+    replayer: TraceReplayer,
+    shards: int = 4,
+    cache_capacity: int = 256,
+    tracer: Optional[Tracer] = None,
+) -> ClusterController:
+    """A fresh cluster over the trace's scene; every shard gets its faults."""
+    instance = _scenario_instance(replayer)
+    return ClusterController(
+        instance.scene,
+        options=ClusterOptions(
+            shards=shards,
+            service=_service_options(instance, cache_capacity),
+        ),
+        tracer=tracer,
+    )
+
+
 def _validate_mode(mode: str, speed: float, rate: float) -> None:
     if mode not in REPLAY_MODES:
         raise ConfigurationError(
@@ -90,13 +159,95 @@ def _validate_mode(mode: str, speed: float, rate: float) -> None:
         raise ConfigurationError(f"fixed replay needs rate > 0, got {rate}")
 
 
-def _stage_self_times(tracer: Optional[Tracer]) -> Dict[str, float]:
-    if tracer is None or not tracer.enabled:
+def _stage_self_times(tracer: Tracer) -> Dict[str, float]:
+    if not tracer.enabled:
         return {}
     return {
         row["stage"]: row["self_ms"]
         for row in attribution_table(tracer.finished_spans())
     }
+
+
+def _counters(registries: Iterable[MetricsRegistry]) -> Dict[str, float]:
+    """Every counter of *registries*, summed by rendered key."""
+    totals: Dict[str, float] = {}
+    for registry in registries:
+        for key, value in registry.counters_with_prefix("").items():
+            totals[key] = totals.get(key, 0.0) + value
+    return totals
+
+
+def _hit_rates(services: Sequence[AllocationService]) -> Tuple[float, float]:
+    """Channel and allocation hits over lookups, pooled across *services*."""
+    hits = {"channel": 0, "allocation": 0}
+    lookups = dict(hits)
+    for service in services:
+        for cache, stats in service.health()["caches"].items():
+            hits[cache] += stats["hits"]
+            lookups[cache] += stats["hits"] + stats["misses"]
+    channel, allocation = (
+        hits[cache] / lookups[cache] if lookups[cache] else 0.0
+        for cache in ("channel", "allocation")
+    )
+    return channel, allocation
+
+
+#: The latency percentiles every report carries (p50, p95, p99).
+_PERCENTILES = (50.0, 95.0, 99.0)
+
+
+def _sojourn_percentiles_ms(sojourns: Sequence[float]) -> List[float]:
+    if not sojourns:
+        return [0.0 for _ in _PERCENTILES]
+    samples = np.asarray(sojourns, dtype=float)
+    return [float(1e3 * np.percentile(samples, q)) for q in _PERCENTILES]
+
+
+def _report(
+    replayer: TraceReplayer,
+    target: str,
+    label: str,
+    mode: str,
+    results: Sequence[AllocationResult],
+    shed: int,
+    duration: float,
+    latencies_ms: Sequence[float],
+    services: Sequence[AllocationService],
+    registries: Iterable[MetricsRegistry],
+    tracer: Tracer,
+    slo: Optional[SLOObserver],
+) -> PerfReport:
+    served = len(results)
+    degraded = sum(1 for result in results if result.degraded)
+    total = served + shed
+    p50, p95, p99 = latencies_ms
+    channel_hit_rate, allocation_hit_rate = _hit_rates(services)
+    return PerfReport(
+        label=f"{label}:{replayer.trace.scenario}",
+        target=target,
+        scenario=replayer.trace.scenario,
+        seed=replayer.trace.seed,
+        stream_digest=replayer.stream_digest(),
+        mode=mode,
+        requests=replayer.requests,
+        served=served,
+        shed=shed,
+        duration_seconds=duration,
+        requests_per_second=(
+            served / duration if duration > 0 else float("inf")
+        ),
+        p50_latency_ms=p50,
+        p95_latency_ms=p95,
+        p99_latency_ms=p99,
+        shed_rate=shed / total if total else 0.0,
+        degraded_rate=degraded / served if served else 0.0,
+        channel_hit_rate=channel_hit_rate,
+        allocation_hit_rate=allocation_hit_rate,
+        stage_self_ms=_stage_self_times(tracer),
+        slo=dict(slo.snapshot()) if slo is not None else {},
+        counters=_counters(registries),
+        environment=environment_fingerprint(),
+    )
 
 
 def replay_service(
@@ -107,45 +258,35 @@ def replay_service(
     cache_capacity: int = 256,
     tracer: Optional[Tracer] = None,
     slo: Optional[SLOObserver] = None,
+    service: Optional[AllocationService] = None,
 ) -> PerfReport:
     """Replay the trace against one :class:`AllocationService`.
 
-    The service is built over the scenario's rebuilt scene with its
-    compiled fault plan (a replayed outage replays its faults).  In
-    ``recorded``/``scaled``/``closed`` modes, entries sharing an
-    arrival instant are served as one batch -- exactly how the
-    scenario bench serves them; ``fixed`` mode serves requests singly
-    at ``1/rate`` spacing.  The single service never sheds, so
-    ``shed`` is always 0 here (the cluster replay sheds).
+    The service defaults to :func:`service_for` (the scenario's rebuilt
+    scene with its compiled fault plan: a replayed outage replays its
+    faults); an explicit *service* replaces it, and *tracer* and
+    *cache_capacity* then go unused.  In ``recorded``/``scaled``/
+    ``closed`` modes, entries sharing an arrival instant are served as
+    one batch; ``fixed`` mode serves requests singly at ``1/rate``
+    spacing.  Latencies are per-request service times.  The single
+    service never sheds, so ``shed`` is always 0 here.
     """
     _validate_mode(mode, speed, rate)
-    instance = _scenario_instance(replayer)
-    service = AllocationService(
-        instance.scene,
-        options=ServiceOptions(
-            channel_cache_capacity=cache_capacity,
-            allocation_cache_capacity=4 * cache_capacity,
-            faults=instance.fault_plan,
-        ),
-        tracer=tracer,
-    )
+    if service is None:
+        service = service_for(replayer, cache_capacity, tracer)
     if slo is not None:
         service.attach_slo(slo)
     records = replayer.trace.records
     first_arrival = records[0].arrival_seconds
-    degraded = 0
-    served = 0
+    results: List[AllocationResult] = []
     origin = time.perf_counter()
     if mode == "fixed":
-        results: List[AllocationResult] = []
         for n, (_, request) in enumerate(replayer.timed_requests()):
             delay = n / rate - (time.perf_counter() - origin)
             if delay > 0:
                 time.sleep(delay)
             results.append(service.handle(request))
-        batches = [results]
     else:
-        batches = []
         for arrival, batch in replayer.arrival_batches():
             if mode in ("recorded", "scaled"):
                 target = (arrival - first_arrival) / (
@@ -154,46 +295,101 @@ def replay_service(
                 delay = target - (time.perf_counter() - origin)
                 if delay > 0:
                     time.sleep(delay)
-            batches.append(service.handle_batch(batch))
+            results.extend(service.handle_batch(batch))
     duration = time.perf_counter() - origin
-    for results in batches:
-        for result in results:
-            served += 1
-            if result.degraded:
-                degraded += 1
     latency = service.metrics.histogram("service.latency_seconds")
-    has_latency = latency.count > 0
-    return PerfReport(
-        label=f"service:{replayer.trace.scenario}",
+    latencies = [
+        1e3 * latency.percentile(q) if latency.count else 0.0
+        for q in _PERCENTILES
+    ]
+    return _report(
+        replayer,
         target="service",
-        scenario=replayer.trace.scenario,
-        seed=replayer.trace.seed,
-        stream_digest=replayer.stream_digest(),
+        label="service",
         mode=mode,
-        requests=replayer.requests,
-        served=served,
+        results=results,
         shed=0,
-        duration_seconds=duration,
-        requests_per_second=(
-            served / duration if duration > 0 else float("inf")
-        ),
-        p50_latency_ms=(
-            1e3 * latency.percentile(50.0) if has_latency else 0.0
-        ),
-        p95_latency_ms=(
-            1e3 * latency.percentile(95.0) if has_latency else 0.0
-        ),
-        p99_latency_ms=(
-            1e3 * latency.percentile(99.0) if has_latency else 0.0
-        ),
-        shed_rate=0.0,
-        degraded_rate=degraded / served if served else 0.0,
-        channel_hit_rate=service.channel_hit_rate,
-        allocation_hit_rate=service.allocation_hit_rate,
-        stage_self_ms=_stage_self_times(tracer),
-        slo=dict(slo.snapshot()) if slo is not None else {},
-        environment=environment_fingerprint(),
+        duration=duration,
+        latencies_ms=latencies,
+        services=[service],
+        registries=[service.metrics],
+        tracer=service.tracer,
+        slo=slo,
     )
+
+
+def replay_sequential(
+    replayer: TraceReplayer, cache_capacity: int = 256
+) -> PerfReport:
+    """Serve the trace back to back on one service: the cluster baseline.
+
+    Every request counts as arriving at one common instant and is
+    handled singly, in order; its latency is its sojourn from that
+    instant -- the same meaning :func:`replay_cluster` reports, so the
+    two compare directly.
+    """
+    service = service_for(replayer, cache_capacity)
+    results: List[AllocationResult] = []
+    sojourns: List[float] = []
+    start = time.perf_counter()
+    for _, request in replayer.timed_requests():
+        results.append(service.handle(request))
+        sojourns.append(time.perf_counter() - start)
+    duration = time.perf_counter() - start
+    return _report(
+        replayer,
+        target="service",
+        label="sequential",
+        mode="sequential",
+        results=results,
+        shed=0,
+        duration=duration,
+        latencies_ms=_sojourn_percentiles_ms(sojourns),
+        services=[service],
+        registries=[service.metrics],
+        tracer=service.tracer,
+        slo=None,
+    )
+
+
+async def _serve_front_door(
+    frontend: ClusterFrontend,
+    workload: Sequence[AllocationRequest],
+    rate: float,
+) -> Tuple[float, List[float], List[AllocationResult], int]:
+    """Submit *workload*; sojourns measured from the common start instant.
+
+    ``rate <= 0`` submits everything at once (closed-loop); ``rate > 0``
+    spaces submissions ``1/rate`` apart.  Returns ``(duration,
+    served_sojourns, served_results, shed_count)``.
+    """
+    start = time.perf_counter()
+
+    async def timed(
+        request: AllocationRequest,
+    ) -> Tuple[Optional[float], Optional[AllocationResult]]:
+        try:
+            result = await frontend.submit(request)
+        except RequestShedError:
+            return None, None
+        return time.perf_counter() - start, result
+
+    if rate > 0:
+        tasks = []
+        for n, request in enumerate(workload):
+            delay = n / rate - (time.perf_counter() - start)
+            if delay > 0:
+                await asyncio.sleep(delay)
+            tasks.append(asyncio.ensure_future(timed(request)))
+        outcomes = await asyncio.gather(*tasks)
+    else:
+        outcomes = await asyncio.gather(
+            *(timed(request) for request in workload)
+        )
+    duration = time.perf_counter() - start
+    sojourns = [s for s, _ in outcomes if s is not None]
+    results = [r for _, r in outcomes if r is not None]
+    return duration, sojourns, results, len(outcomes) - len(results)
 
 
 def replay_cluster(
@@ -204,6 +400,7 @@ def replay_cluster(
     cache_capacity: int = 256,
     tracer: Optional[Tracer] = None,
     slo: Optional[SLOObserver] = None,
+    controller: Optional[ClusterController] = None,
 ) -> PerfReport:
     """Replay the trace through the sharded cluster front door.
 
@@ -211,51 +408,80 @@ def replay_cluster(
     ``rate > 0`` paces arrivals ``1/rate`` apart.  Recorded offsets are
     not replayed here -- the front door's admission control reacts to
     instantaneous pressure, which closed-loop and paced modes probe
-    directly.  Shard-level fault plans are not wired through the
-    cluster controller, so fault scenarios replay fault-free against
-    the cluster (their faults exercise the single-service path).
+    directly.  The controller defaults to :func:`cluster_for`, so every
+    shard injects the scenario's fault plan; an explicit *controller*
+    replaces it (*shards*, *cache_capacity* and *tracer* then go
+    unused).  Latencies are sojourns from the common start instant;
+    hit rates and counters are pooled over the shards.
     """
-    from ..cluster.bench import run_cluster_benchmark
+    if controller is None:
+        controller = cluster_for(replayer, shards, cache_capacity, tracer)
+    if slo is not None:
+        for shard in controller.shards():
+            shard.service.attach_slo(slo)
+    workload = [request for _, request in replayer.timed_requests()]
 
-    instance = _scenario_instance(replayer)
-    workload = [record.request() for record in replayer.trace.records]
-    report = run_cluster_benchmark(
-        shards=shards,
-        rate=rate,
-        batch_max=batch_max,
-        cache_capacity=cache_capacity,
-        seed=replayer.trace.seed,
-        baseline=False,
-        knee=False,
-        tracer=tracer,
-        scene=instance.scene,
-        workload=workload,
+    async def _run() -> Tuple[float, List[float], List[AllocationResult], int]:
+        options = FrontendOptions(batch_max=batch_max)
+        async with ClusterFrontend(controller, options) as frontend:
+            return await _serve_front_door(frontend, workload, rate)
+
+    duration, sojourns, results, shed = asyncio.run(_run())
+    services = [shard.service for shard in controller.shards()]
+    return _report(
+        replayer,
+        target="cluster",
+        label="cluster",
+        mode="closed" if rate <= 0 else "fixed",
+        results=results,
+        shed=shed,
+        duration=duration,
+        latencies_ms=_sojourn_percentiles_ms(sojourns),
+        services=services,
+        registries=controller.registries().values(),
+        tracer=controller.tracer,
         slo=slo,
     )
-    total = report.served + report.shed
-    return PerfReport(
-        label=f"cluster:{replayer.trace.scenario}",
-        target="cluster",
-        scenario=replayer.trace.scenario,
-        seed=replayer.trace.seed,
-        stream_digest=replayer.stream_digest(),
-        mode="closed" if rate <= 0 else "fixed",
-        requests=replayer.requests,
-        served=report.served,
-        shed=report.shed,
-        duration_seconds=report.duration_seconds,
-        requests_per_second=report.requests_per_second,
-        p50_latency_ms=report.p50_latency_ms,
-        p95_latency_ms=report.p95_latency_ms,
-        p99_latency_ms=0.0,
-        shed_rate=report.shed / total if total else 0.0,
-        degraded_rate=0.0,
-        channel_hit_rate=0.0,
-        allocation_hit_rate=0.0,
-        stage_self_ms=_stage_self_times(tracer),
-        slo=dict(report.slo),
-        environment=environment_fingerprint(),
-    )
+
+
+def find_knee(
+    run_at_rate: Callable[[float], Dict[str, float]],
+    start_rate: float = 100.0,
+    growth: float = 2.0,
+    max_steps: int = 6,
+    shed_budget: float = 0.05,
+    keep_up_fraction: float = 0.9,
+) -> List[Dict[str, float]]:
+    """Escalate offered rates until a serving source stops keeping up.
+
+    *run_at_rate* serves one fixed workload at the offered rate -- on a
+    *fresh* serving stack each step, so queue state never leaks between
+    steps -- and returns at least ``{achieved_rps, shed_fraction,
+    p95_latency_ms}``.  Each step multiplies the rate by *growth* and
+    the sweep stops once achieved throughput drops below
+    *keep_up_fraction* of offered or the shed fraction exceeds
+    *shed_budget* -- the knee.  Returns one record per step
+    (``offered_rps`` added), knee included.
+    """
+    if start_rate <= 0:
+        raise ConfigurationError(
+            f"start_rate must be positive, got {start_rate}"
+        )
+    if growth <= 1.0:
+        raise ConfigurationError(f"growth must be > 1, got {growth}")
+    points: List[Dict[str, float]] = []
+    rate = start_rate
+    for _ in range(max_steps):
+        point = dict(run_at_rate(rate))
+        point["offered_rps"] = rate
+        points.append(point)
+        if (
+            point["achieved_rps"] < keep_up_fraction * rate
+            or point["shed_fraction"] > shed_budget
+        ):
+            break
+        rate *= growth
+    return points
 
 
 def knee_from_trace(
@@ -271,11 +497,8 @@ def knee_from_trace(
     """Escalate offered rates for this trace until the cluster knees.
 
     Each step replays the identical request stream through a *fresh*
-    cluster at the offered rate (no queue state leaks between steps)
-    via the generic :func:`repro.cluster.bench.find_knee`.
+    cluster at the offered rate (no queue state leaks between steps).
     """
-    from ..cluster.bench import find_knee
-
     requests = replayer.requests
 
     def run_at_rate(rate: float) -> Dict[str, float]:

@@ -26,6 +26,7 @@ Recording has two sources:
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import hashlib
 import time
@@ -335,6 +336,34 @@ class TraceReplayer:
 
     def stream_digest(self) -> str:
         return self.trace.stream_digest()
+
+    def with_overrides(
+        self,
+        solver: Optional[str] = None,
+        deadline_seconds: Optional[float] = None,
+    ) -> "TraceReplayer":
+        """This trace with every record's solver and/or deadline replaced.
+
+        The override rewrites the records themselves, so the stream
+        digest -- and every report of a replay -- names the stream that
+        actually runs, never the one recorded.
+        """
+        changes: Dict[str, Any] = {}
+        if solver is not None:
+            changes["solver"] = solver
+        if deadline_seconds is not None:
+            changes["deadline_seconds"] = float(deadline_seconds)
+        if not changes:
+            return self
+        return TraceReplayer(
+            dataclasses.replace(
+                self.trace,
+                records=tuple(
+                    dataclasses.replace(record, **changes)
+                    for record in self.trace.records
+                ),
+            )
+        )
 
     def timed_requests(self) -> Iterator[Tuple[float, AllocationRequest]]:
         """``(arrival_seconds, request)`` pairs in recorded order."""

@@ -18,8 +18,8 @@ Turns the per-call experiment code into a high-throughput engine:
 - :mod:`repro.runtime.faults` -- the seedable fault-injection harness
   driving the chaos tests;
 - :mod:`repro.runtime.service` -- the :class:`AllocationService`
-  facade routing requests through cache -> batch -> solve, wired into
-  the CLI as ``repro bench``.
+  facade routing requests through cache -> batch -> solve (benchmarked
+  by trace replay, :mod:`repro.obs.replay`).
 """
 
 from .batch import (
@@ -57,11 +57,8 @@ from .service import (
     AllocationRequest,
     AllocationResult,
     AllocationService,
-    BenchmarkReport,
     ServiceOptions,
-    benchmark_service,
     placement_fingerprint,
-    run_benchmark,
 )
 from .tracing import (
     SpanRecorder,
@@ -99,11 +96,8 @@ __all__ = [
     "AllocationRequest",
     "AllocationResult",
     "AllocationService",
-    "BenchmarkReport",
     "ServiceOptions",
-    "benchmark_service",
     "placement_fingerprint",
-    "run_benchmark",
     "SpanRecorder",
     "Tracer",
     "TracingOptions",

@@ -6,8 +6,8 @@ service quantizes the placement into a cache key, computes LOS channel
 matrices for all cache-missing placements in one batched broadcast,
 solves each distinct cache-missing allocation once, evaluates the
 resulting throughputs as one allocation stack, and reports everything
-through the metrics registry.  ``python -m repro bench`` drives it with
-a random-placement workload and prints latency percentiles.
+through the metrics registry.  ``python -m repro replay`` drives it
+with a recorded scenario trace and prints latency percentiles.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import numpy as np
 from .. import constants
 from ..channel import AWGNNoise, channel_matrix_update
 from ..errors import ChannelError, RuntimeEngineError
-from ..system import FINGERPRINT_QUANTUM, Scene, simulation_scene
+from ..system import FINGERPRINT_QUANTUM, Scene
 from ..tracecontext import Span
 from .batch import channel_matrix_stack, throughput_stack
 from .cache import LRUCache
@@ -833,278 +833,3 @@ class AllocationService:
         self.metrics.gauge("service.allocation_hit_rate").set(
             self._allocation_cache.stats.hit_rate
         )
-
-
-# ----------------------------------------------------------------------
-# The `repro bench` workload
-# ----------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class BenchmarkReport:
-    """Latency/throughput summary of one ``repro bench`` run."""
-
-    requests: int
-    duration_seconds: float
-    requests_per_second: float
-    p50_latency_ms: float
-    p95_latency_ms: float
-    channel_hit_rate: float
-    allocation_hit_rate: float
-    solver: str
-    solver_stage_ms: Dict[str, float] = field(default_factory=dict)
-    solver_counters: Dict[str, float] = field(default_factory=dict)
-    health_status: str = "ok"
-    resilience_counters: Dict[str, float] = field(default_factory=dict)
-    stage_breakdown: Dict[str, Dict[str, float]] = field(default_factory=dict)
-    traced_spans: int = 0
-    dropped_spans: int = 0
-    tracing_overhead_ms: float = 0.0
-    slo: Dict[str, Any] = field(default_factory=dict)
-
-    def lines(self) -> List[str]:
-        lines = [
-            f"requests            {self.requests}",
-            f"solver              {self.solver}",
-            f"total time          {self.duration_seconds * 1e3:.1f} ms",
-            f"throughput          {self.requests_per_second:.1f} req/s",
-            f"latency p50         {self.p50_latency_ms:.3f} ms",
-            f"latency p95         {self.p95_latency_ms:.3f} ms",
-            f"channel hit-rate    {100 * self.channel_hit_rate:.1f}%",
-            f"allocation hit-rate {100 * self.allocation_hit_rate:.1f}%",
-            f"health              {self.health_status}",
-        ]
-        if self.stage_breakdown:
-            lines.append("")
-            lines.append(
-                f"{'stage':<22} {'count':>7} {'mean ms':>9} "
-                f"{'p95 ms':>9} {'total ms':>9}"
-            )
-            for stage, stats in sorted(self.stage_breakdown.items()):
-                lines.append(
-                    f"{stage:<22} {stats['count']:>7.0f} "
-                    f"{stats['mean_ms']:>9.3f} {stats['p95_ms']:>9.3f} "
-                    f"{stats['total_ms']:>9.1f}"
-                )
-            lines.append("")
-        for stage, mean_ms in sorted(self.solver_stage_ms.items()):
-            label = stage.removeprefix("optimizer.").removesuffix("_seconds")
-            lines.append(f"stage {label:<13} {mean_ms:.3f} ms mean")
-        for name, value in sorted(self.solver_counters.items()):
-            label = name.removeprefix("optimizer.")
-            lines.append(f"solver {label:<12} {value:.0f}")
-        for name, value in sorted(self.resilience_counters.items()):
-            label = name.removeprefix("resilience.")
-            lines.append(f"resilience {label:<17} {value:.0f}")
-        if self.traced_spans:
-            lines.append(f"traced spans        {self.traced_spans}")
-        if self.tracing_overhead_ms:
-            lines.append(
-                f"tracing overhead    {self.tracing_overhead_ms:.3f} ms"
-            )
-        if self.dropped_spans:
-            lines.append(
-                f"WARNING: {self.dropped_spans} spans dropped (buffer "
-                "full) -- attribution below is incomplete; raise "
-                "TracingOptions.max_spans"
-            )
-        for objective in self.slo.get("objectives", []):
-            lines.append(
-                f"slo {objective['name']:<15} "
-                f"{100 * objective['compliance']:.2f}% "
-                f"(target {100 * objective['target']:.1f}%, budget "
-                f"{100 * objective['budget_remaining']:.1f}% left)"
-            )
-        return lines
-
-    def as_dict(self) -> dict:
-        """A machine-readable view (``benchmarks/results/bench_runtime.json``)."""
-        return {
-            "requests": self.requests,
-            "duration_seconds": self.duration_seconds,
-            "requests_per_second": self.requests_per_second,
-            "p50_latency_ms": self.p50_latency_ms,
-            "p95_latency_ms": self.p95_latency_ms,
-            "channel_hit_rate": self.channel_hit_rate,
-            "allocation_hit_rate": self.allocation_hit_rate,
-            "solver": self.solver,
-            "solver_stage_ms": dict(self.solver_stage_ms),
-            "solver_counters": dict(self.solver_counters),
-            "health_status": self.health_status,
-            "resilience_counters": dict(self.resilience_counters),
-            "stage_breakdown": {
-                stage: dict(stats)
-                for stage, stats in self.stage_breakdown.items()
-            },
-            "traced_spans": self.traced_spans,
-            "dropped_spans": self.dropped_spans,
-            "tracing_overhead_ms": self.tracing_overhead_ms,
-            "slo": dict(self.slo),
-        }
-
-
-def _solver_stage_summary(
-    snapshot: dict,
-) -> "tuple[Dict[str, float], Dict[str, float]]":
-    """Mean optimizer stage timings [ms] and counters from a snapshot."""
-    stages = {
-        name: 1e3 * data.get("mean", 0.0)
-        for name, data in snapshot.get("histograms", {}).items()
-        if name.startswith("optimizer.")
-        and name.endswith("_seconds")
-        and data.get("count", 0)
-    }
-    counters = {
-        name: value
-        for name, value in snapshot.get("counters", {}).items()
-        if name.startswith("optimizer.")
-    }
-    return stages, counters
-
-
-def _stage_breakdown(snapshot: dict) -> Dict[str, Dict[str, float]]:
-    """Per-stage latency summary from service/pool timing histograms."""
-    breakdown: Dict[str, Dict[str, float]] = {}
-    for name, data in snapshot.get("histograms", {}).items():
-        if not name.endswith("_seconds"):
-            continue
-        if not name.startswith(("service.", "pool.")):
-            continue
-        count = data.get("count", 0)
-        if not count:
-            continue
-        mean = data.get("mean", 0.0)
-        breakdown[name.removesuffix("_seconds")] = {
-            "count": float(count),
-            "mean_ms": 1e3 * mean,
-            "p95_ms": 1e3 * data.get("p95", 0.0),
-            "total_ms": 1e3 * mean * count,
-        }
-    return breakdown
-
-
-def benchmark_service(
-    distinct_placements: int = 25,
-    cache_capacity: int = 256,
-    seed: int = 0,
-    tracer: Optional[Tracer] = None,
-) -> AllocationService:
-    """An :class:`AllocationService` over the ``repro bench`` scene.
-
-    The CLI uses this to hold onto the service (its metrics registry and
-    tracer) across a :func:`run_benchmark` call, so it can export the
-    trace and the Prometheus/JSON metric expositions afterwards.
-    """
-    from ..experiments.scenarios import fig6_instances
-
-    placements = fig6_instances(
-        instances=max(1, distinct_placements), seed=seed
-    )
-    scene = simulation_scene([(float(x), float(y)) for x, y in placements[0]])
-    return AllocationService(
-        scene,
-        options=ServiceOptions(
-            channel_cache_capacity=cache_capacity,
-            allocation_cache_capacity=4 * cache_capacity,
-        ),
-        tracer=tracer,
-    )
-
-
-def run_benchmark(
-    requests: int = 100,
-    distinct_placements: int = 25,
-    solver: str = "heuristic",
-    power_budget: float = 1.2,
-    cache_capacity: int = 256,
-    batch_size: int = 1,
-    seed: int = 0,
-    scene: Optional[Scene] = None,
-    service: Optional[AllocationService] = None,
-    deadline_seconds: Optional[float] = None,
-    tracer: Optional[Tracer] = None,
-    slo: Optional[SLOObserver] = None,
-) -> BenchmarkReport:
-    """Serve a Fig. 6-style random-placement workload and time it.
-
-    *requests* placements are drawn (with repetition) from
-    *distinct_placements* random Fig. 6 instances, so the steady-state
-    cache hit-rate is positive by construction -- exactly the locality a
-    mobility workload exhibits.
-
-    A *tracer* (ignored when *service* is given -- the service already
-    owns one) captures every request's span tree; export it afterwards
-    with :meth:`~repro.runtime.tracing.Tracer.export_chrome_trace`.
-    """
-    from ..experiments.scenarios import fig6_instances
-
-    if requests < 1:
-        raise RuntimeEngineError(f"need at least 1 request, got {requests}")
-    distinct = max(1, min(distinct_placements, requests))
-    placements = fig6_instances(instances=distinct, seed=seed)
-    if service is None:
-        if scene is None:
-            scene = simulation_scene(
-                [(float(x), float(y)) for x, y in placements[0]]
-            )
-        service = AllocationService(
-            scene,
-            options=ServiceOptions(
-                channel_cache_capacity=cache_capacity,
-                allocation_cache_capacity=4 * cache_capacity,
-            ),
-            tracer=tracer,
-        )
-    if slo is not None:
-        service.attach_slo(slo)
-    if distinct >= requests:
-        # One request per distinct placement: a fully cold workload.
-        order = np.arange(requests)
-    else:
-        rng = np.random.default_rng(seed)
-        order = rng.integers(0, distinct, size=requests)
-    batch: List[AllocationRequest] = []
-    start = time.perf_counter()
-    for n, index in enumerate(order):
-        request = AllocationRequest(
-            rx_positions_xy=tuple(
-                (float(x), float(y)) for x, y in placements[int(index)]
-            ),
-            power_budget=power_budget,
-            solver=solver,
-            tag=f"bench-{n}",
-            deadline_seconds=deadline_seconds,
-        )
-        if batch_size <= 1:
-            service.handle(request)
-        else:
-            batch.append(request)
-            if len(batch) >= batch_size:
-                service.handle_batch(batch)
-                batch = []
-    if batch:
-        service.handle_batch(batch)
-    duration = time.perf_counter() - start
-    latency = service.metrics.histogram("service.latency_seconds")
-    snapshot = service.metrics.snapshot()
-    stage_ms, stage_counters = _solver_stage_summary(snapshot)
-    health = service.health()
-    return BenchmarkReport(
-        requests=requests,
-        duration_seconds=duration,
-        requests_per_second=requests / duration if duration > 0 else float("inf"),
-        p50_latency_ms=1e3 * latency.percentile(50.0),
-        p95_latency_ms=1e3 * latency.percentile(95.0),
-        channel_hit_rate=service.channel_hit_rate,
-        allocation_hit_rate=service.allocation_hit_rate,
-        solver=solver,
-        solver_stage_ms=stage_ms,
-        solver_counters=stage_counters,
-        health_status=health["status"],
-        resilience_counters=health["resilience"],
-        stage_breakdown=_stage_breakdown(snapshot),
-        traced_spans=len(service.tracer.finished_spans()),
-        dropped_spans=service.tracer.dropped_spans,
-        tracing_overhead_ms=1e3 * service.tracer.overhead_seconds,
-        slo=dict(health.get("slo", {})),
-    )

@@ -3,9 +3,9 @@
 ``repro.scenarios`` sits *above* the serving layers: it imports
 ``repro.runtime`` and may feed ``repro.cluster``, but nothing below it
 imports this package (rule R1).  Importing the package registers every
-built-in scenario; list them with :func:`scenario_names` and run them
-with ``repro bench --scenario <name>`` or ``repro cluster-bench
---scenario <name>``.
+built-in scenario; list them with :func:`scenario_names`, record one
+with ``repro record <name>`` and serve the trace with ``repro replay``
+(``--cluster`` for the sharded front door).
 """
 
 from .base import (
@@ -18,13 +18,9 @@ from .base import (
     register_scenario,
     scenario_names,
 )
-from .bench import (
-    ScenarioBenchReport,
-    run_scenario_benchmark,
-    scenario_cluster_workload,
-)
 
 # Importing these modules registers the built-in scenarios.
+from . import fig6 as _fig6  # noqa: F401
 from . import mobility as _mobility  # noqa: F401
 from . import outages as _outages  # noqa: F401
 from . import placement as _placement  # noqa: F401
@@ -46,9 +42,6 @@ __all__ = [
     "get_scenario",
     "register_scenario",
     "scenario_names",
-    "ScenarioBenchReport",
-    "run_scenario_benchmark",
-    "scenario_cluster_workload",
     "fleet_trace",
     "iter_fleet_trace",
     "streaming_fleet",

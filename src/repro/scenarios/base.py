@@ -20,7 +20,7 @@ Builders register through :func:`register_scenario`::
     @register_scenario("waypoint-fleet", "24 RXs random-waypoint", seed=0)
     def _build(seed: int) -> ScenarioInstance: ...
 
-and the CLI resolves ``repro bench --scenario waypoint-fleet`` through
+and the CLI resolves ``repro record waypoint-fleet`` through
 :func:`build_scenario`.
 """
 

@@ -4,7 +4,7 @@ Covers the consistent-hash ring (determinism, minimal remap), the
 controller (lifecycle, routing, health and Prometheus rollups), the
 asyncio front door (batching, coalescing bit-identity,
 deadline- and capacity-shedding, trace propagation into the shards) and
-the cluster benchmark + ``repro cluster-bench`` CLI.
+the cluster's trace replay + ``repro replay --cluster`` CLI.
 """
 
 from __future__ import annotations
@@ -24,18 +24,35 @@ from repro.cluster import (
     ConsistentHashRing,
     FrontendOptions,
     RequestShedError,
-    cluster_workload,
-    knee_sweep,
-    run_cluster_benchmark,
 )
 from repro.experiments.scenarios import fig6_instances
+from repro.obs import (
+    TraceRecorder,
+    TraceReplayer,
+    knee_from_trace,
+    replay_cluster,
+    replay_sequential,
+)
+from repro.core import problem_for_scene
 from repro.runtime import (
     AllocationRequest,
+    AllocationService,
     ServiceOptions,
     Tracer,
     TracingOptions,
 )
+from repro.scenarios import build_scenario
 from repro.system import simulation_scene
+
+#: A 30-request scenario: small enough for smoke replays.
+FAST_SCENARIO = "mirror-nlos"
+
+
+@pytest.fixture(scope="module")
+def trace_path(tmp_path_factory):
+    path = tmp_path_factory.mktemp("traces") / "fast.trace.jsonl"
+    TraceRecorder.record_scenario(FAST_SCENARIO, 0).save(str(path))
+    return str(path)
 
 
 @pytest.fixture(scope="module")
@@ -515,77 +532,66 @@ class TestClusterFrontend:
 
 
 # ----------------------------------------------------------------------
-# bench.py + CLI
+# trace replay through the cluster + CLI
 # ----------------------------------------------------------------------
 
 
 class TestClusterBench:
     def test_workload_is_deterministic(self):
-        _, a = cluster_workload(requests=24, distinct_placements=8, seed=5)
-        _, b = cluster_workload(requests=24, distinct_placements=8, seed=5)
-        assert [r.rx_positions_xy for r in a] == [
-            r.rx_positions_xy for r in b
-        ]
-        _, c = cluster_workload(requests=24, distinct_placements=8, seed=6)
-        assert [r.rx_positions_xy for r in a] != [
-            r.rx_positions_xy for r in c
-        ]
+        def positions(seed):
+            instance = build_scenario("fig6-hotmix", seed)
+            return [t.request.rx_positions_xy for t in instance.trace]
 
-    def test_run_cluster_benchmark_smoke(self):
-        report = run_cluster_benchmark(
-            requests=24,
-            shards=2,
-            distinct_placements=6,
-            cache_capacity=64,
-            seed=0,
-        )
-        assert report.served + report.shed == 24
+        assert positions(5) == positions(5)
+        assert positions(5) != positions(6)
+
+    def test_replay_cluster_smoke(self, trace_path):
+        replayer = TraceReplayer.load(trace_path)
+        report = replay_cluster(replayer, shards=2, cache_capacity=64)
+        assert report.target == "cluster"
+        assert report.served + report.shed == replayer.requests
         assert report.requests_per_second > 0
-        assert report.dispatches >= 1
-        assert report.baseline_requests_per_second > 0
-        assert report.speedup > 0
-        assert set(report.per_shard) == {"shard-0", "shard-1"}
-        payload = report.as_dict()
-        assert payload["requests"] == 24
-        assert payload["per_shard"]["shard-0"]["requests"] >= 0
-        assert any("throughput" in line for line in report.lines())
-
-    def test_rate_paced_mode(self):
-        report = run_cluster_benchmark(
-            requests=12,
-            shards=2,
-            distinct_placements=4,
-            rate=2000.0,
-            cache_capacity=64,
-            baseline=False,
-            seed=0,
+        assert report.counters["cluster.dispatches"] >= 1
+        assert report.counters["cluster.submitted"] == replayer.requests
+        assert (
+            report.p99_latency_ms
+            >= report.p95_latency_ms
+            >= report.p50_latency_ms
+            > 0
         )
-        assert report.rate == 2000.0
-        assert report.served + report.shed == 12
+        payload = report.as_dict()
+        assert payload["requests"] == replayer.requests
+        assert payload["counters"] == report.counters
+        assert any("throughput" in line for line in report.lines())
+        baseline = replay_sequential(replayer, cache_capacity=64)
+        assert baseline.label == f"sequential:{FAST_SCENARIO}"
+        assert baseline.mode == "sequential"
+        assert baseline.served == replayer.requests
+        assert baseline.p95_latency_ms >= baseline.p50_latency_ms > 0
+
+    def test_rate_paced_mode(self, trace_path):
+        replayer = TraceReplayer.load(trace_path)
+        report = replay_cluster(
+            replayer, shards=2, rate=2000.0, cache_capacity=64
+        )
+        assert report.mode == "fixed"
+        assert report.served + report.shed == replayer.requests
 
     def test_distinct_placements_counts_the_draw(self):
-        # A hot-heavy draw repeats placements: the report must count the
-        # placements the workload actually contains, not the pool size.
-        config = dict(
-            requests=12, distinct_placements=12, hot_fraction=0.75, seed=0
-        )
-        _, workload = cluster_workload(**config)
-        drawn = len({r.rx_positions_xy for r in workload})
-        assert drawn < config["distinct_placements"]
-        report = run_cluster_benchmark(
-            shards=2, cache_capacity=64, baseline=False, **config
-        )
-        assert report.distinct_placements == drawn
+        # The hot share repeats placements: the metadata must count the
+        # placements the stream actually contains, not the pool size.
+        instance = build_scenario("fig6-hotmix")
+        drawn = len({t.request.rx_positions_xy for t in instance.trace})
+        assert drawn < instance.requests
+        assert instance.metadata["distinct_placements"] == drawn
 
-    def test_knee_sweep_reports_points(self):
-        points = knee_sweep(
-            requests=16,
+    def test_knee_from_trace_reports_points(self, trace_path):
+        points = knee_from_trace(
+            TraceReplayer.load(trace_path),
             shards=2,
-            distinct_placements=4,
             cache_capacity=64,
             start_rate=500.0,
             max_steps=2,
-            seed=0,
         )
         assert 1 <= len(points) <= 2
         for point in points:
@@ -595,60 +601,91 @@ class TestClusterBench:
 
 
 class TestClusterCLI:
-    def test_cluster_bench_smoke(self, capsys):
+    def test_cluster_bench_smoke(self, trace_path, capsys):
         code = cli_main(
-            [
-                "cluster-bench",
-                "--shards",
-                "2",
-                "--requests",
-                "16",
-                "--distinct",
-                "4",
-                "--json",
-                "-",
-            ]
+            ["replay", trace_path, "--cluster", "--shards", "2", "--json", "-"]
         )
         captured = capsys.readouterr()
         assert code == 0
         assert "throughput" in captured.out
         assert '"requests_per_second"' in captured.out
 
-    def test_cluster_bench_writes_artifacts(self, tmp_path, capsys):
+    def test_cluster_bench_writes_artifacts(
+        self, trace_path, tmp_path, capsys
+    ):
         json_path = tmp_path / "cluster.json"
         prom_path = tmp_path / "cluster.prom"
         code = cli_main(
             [
-                "cluster-bench",
+                "replay",
+                trace_path,
+                "--cluster",
                 "--shards",
                 "2",
-                "--requests",
-                "16",
-                "--distinct",
-                "4",
-                "--no-baseline",
+                "--baseline",
                 "--json",
                 str(json_path),
                 "--metrics-prom",
                 str(prom_path),
             ]
         )
-        capsys.readouterr()
+        out = capsys.readouterr().out
         assert code == 0
+        assert "sequential:" in out and "speedup" in out
         import json
 
         payload = json.loads(json_path.read_text())
-        assert payload["shards"] == 2
-        assert payload["served"] + payload["shed"] == 16
+        assert payload["target"] == "cluster"
+        assert payload["served"] + payload["shed"] == 30
         prom = prom_path.read_text()
         assert 'shard="shard-0"' in prom
         assert 'shard="cluster"' in prom
 
-    def test_cluster_bench_rejects_bad_config(self, capsys):
-        code = cli_main(["cluster-bench", "--shards", "0", "--requests", "4"])
+    def test_cluster_bench_rejects_bad_config(self, trace_path, capsys):
+        code = cli_main(["replay", trace_path, "--cluster", "--shards", "0"])
         captured = capsys.readouterr()
         assert code == 2
         assert "error" in captured.err
+
+
+class TestCoalescingDifferential:
+    """Front-door coalescing against the uncoalesced reference.
+
+    The fig6-hotmix stream (a quarter of it on four hot placements)
+    goes through a 4-shard front door, where concurrent duplicates
+    collapse onto one solve, and one request at a time through a single
+    service.  Every request must get the same swings either way, and
+    every swing matrix must satisfy the paper's constraints.
+    """
+
+    def test_hotmix_matches_single_service_request_by_request(self):
+        instance = build_scenario("fig6-hotmix")
+        workload = [timed.request for timed in instance.trace]
+        controller = ClusterController(
+            instance.scene, options=ClusterOptions(shards=4)
+        )
+
+        async def serve(frontend):
+            return await asyncio.gather(
+                *(frontend.submit(request) for request in workload)
+            )
+
+        clustered = run_frontend(
+            controller, FrontendOptions(batch_max=96), serve
+        )
+        assert controller.metrics.counter("cluster.coalesced").value > 0
+        reference = AllocationService(instance.scene)
+        for request, result in zip(workload, clustered):
+            expected = reference.handle(request)
+            np.testing.assert_allclose(
+                result.swings, expected.swings, rtol=1e-9, atol=0
+            )
+            problem = problem_for_scene(
+                instance.scene.with_receivers_at(request.rx_positions_xy),
+                request.power_budget,
+            )
+            assert problem.is_feasible(result.swings)
+            assert problem.is_feasible(expected.swings)
 
 
 class TestDispatchErrorAccounting:

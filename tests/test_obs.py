@@ -27,8 +27,10 @@ from repro.obs import (
     TraceReplayer,
     append_to_ledger,
     attribution_table,
+    cluster_for,
     default_objectives,
     diff_reports,
+    find_knee,
     latest_report,
     load_ledger,
     recording_service,
@@ -323,6 +325,39 @@ class TestReplayCluster:
         assert report.stream_digest == replayer.stream_digest()
         assert tracker.observed == report.served
         assert report.slo["objectives"]
+        assert report.p99_latency_ms >= report.p95_latency_ms > 0
+        assert report.counters["cluster.submitted"] == replayer.requests
+
+    def test_cluster_hit_rates_pool_over_shards(self, fast_trace):
+        # A second pass over the same cluster finds every placement
+        # cached on whichever shard owns it.
+        replayer = TraceReplayer(fast_trace)
+        controller = cluster_for(replayer, shards=2)
+        cold = replay_cluster(replayer, controller=controller)
+        warm = replay_cluster(replayer, controller=controller)
+        assert warm.channel_hit_rate > cold.channel_hit_rate
+        assert warm.allocation_hit_rate > 0.0
+        assert warm.counters["cluster.submitted"] == 2 * replayer.requests
+
+    def test_find_knee_validation(self):
+        def never(rate):
+            raise AssertionError("must not run")
+
+        with pytest.raises(ConfigurationError, match="start_rate"):
+            find_knee(never, start_rate=0.0)
+        with pytest.raises(ConfigurationError, match="growth"):
+            find_knee(never, growth=1.0)
+
+    def test_overrides_rename_the_stream(self, fast_trace):
+        replayer = TraceReplayer(fast_trace)
+        assert replayer.with_overrides() is replayer
+        swing = replayer.with_overrides(solver="swing", deadline_seconds=30)
+        assert swing.stream_digest() != replayer.stream_digest()
+        assert {r.solver for r in swing.trace.records} == {"swing"}
+        assert {r.deadline_seconds for r in swing.trace.records} == {30.0}
+        report = replay_service(swing)
+        assert report.stream_digest == swing.stream_digest()
+        assert report.counters['pool.solves{solver="swing"}'] > 0
 
 
 # ----------------------------------------------------------------------
@@ -431,6 +466,11 @@ class TestLedger:
     def test_report_round_trips_through_dict(self):
         report = _report()
         assert PerfReport.from_dict(report.as_dict()) == report
+
+    def test_entries_without_counters_load_empty(self):
+        legacy = _report().as_dict()
+        del legacy["counters"]
+        assert PerfReport.from_dict(legacy).counters == {}
 
 
 # ----------------------------------------------------------------------

@@ -12,6 +12,7 @@ from repro.cli import main as cli_main
 from repro.core import AllocationProblem, RankingHeuristic
 from repro.errors import RuntimeEngineError
 from repro.experiments.scenarios import fig6_instances
+from repro.obs import TraceRecorder, TraceReplayer, replay_service
 from repro.runtime import (
     AllocationRequest,
     AllocationService,
@@ -23,7 +24,6 @@ from repro.runtime import (
     SolverPool,
     SolveTask,
     channel_matrix_stack,
-    run_benchmark,
     sinr_stack,
     solve_task,
     throughput_stack,
@@ -751,31 +751,37 @@ class TestHealthSnapshot:
 
 
 # ----------------------------------------------------------------------
-# bench entry point
+# benchmarking through trace replay
 # ----------------------------------------------------------------------
 
 
+@pytest.fixture(scope="module")
+def fig6_trace(tmp_path_factory):
+    path = tmp_path_factory.mktemp("traces") / "fig6-random.trace.jsonl"
+    TraceRecorder.record_scenario("fig6-random").save(str(path))
+    return str(path)
+
+
 class TestBench:
-    def test_run_benchmark_reports_cache_hits(self):
-        report = run_benchmark(requests=12, distinct_placements=3, seed=1)
-        assert report.requests == 12
+    def test_replay_reports_cache_hits(self):
+        replayer = TraceReplayer(TraceRecorder.record_scenario("fig6-hotmix"))
+        report = replay_service(replayer)
+        assert report.served == report.requests == 384
         assert report.requests_per_second > 0
         assert report.channel_hit_rate > 0
         assert report.allocation_hit_rate > 0
         assert report.p95_latency_ms >= report.p50_latency_ms
-        assert any("hit-rate" in line for line in report.lines())
+        assert any("hit rates" in line for line in report.lines())
 
-    def test_cli_bench_smoke(self, capsys):
-        exit_code = cli_main(
-            ["bench", "--requests", "8", "--distinct", "2", "--seed", "2"]
-        )
+    def test_cli_bench_smoke(self, fig6_trace, capsys):
+        exit_code = cli_main(["replay", fig6_trace])
         captured = capsys.readouterr()
         assert exit_code == 0
-        assert "channel hit-rate" in captured.out
+        assert "hit rates" in captured.out
 
     def test_cli_rejects_unknown_solver(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
-            cli_main(["bench", "--solver", "bogus"])
+            cli_main(["replay", "t.trace.jsonl", "--solver", "bogus"])
         assert excinfo.value.code == 2
         assert "invalid choice" in capsys.readouterr().err
 
@@ -790,31 +796,19 @@ class TestBench:
             "swing",
         }
 
-    def test_cli_metrics_prometheus_stdout(self, capsys):
-        code = cli_main(["metrics", "--requests", "6", "--distinct", "2"])
+    def test_cli_metrics_prometheus_stdout(self, fig6_trace, capsys):
+        code = cli_main(["replay", fig6_trace, "--metrics-prom", "-"])
         captured = capsys.readouterr()
         assert code == 0
         assert "# TYPE repro_service_requests_total counter" in captured.out
         assert "repro_service_latency_seconds" in captured.out
 
-    def test_cli_metrics_json_to_file(self, tmp_path):
+    def test_cli_metrics_json_to_file(self, fig6_trace, tmp_path):
         import json
 
         path = tmp_path / "metrics.json"
-        code = cli_main(
-            [
-                "metrics",
-                "--requests",
-                "6",
-                "--distinct",
-                "2",
-                "--format",
-                "json",
-                "--output",
-                str(path),
-            ]
-        )
+        code = cli_main(["replay", fig6_trace, "--metrics-json", str(path)])
         assert code == 0
         snapshot = json.loads(path.read_text())
-        assert snapshot["counters"]["service.requests"] == 6.0
+        assert snapshot["counters"]["service.requests"] == 100.0
         assert "service.latency_seconds" in snapshot["histograms"]

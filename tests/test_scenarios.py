@@ -2,7 +2,7 @@
 
 Covers the registry and seeding contract, trace validation, the
 mobility/outage/placement builders, the mirror channel they lean on,
-and an end-to-end serve through ``run_scenario_benchmark``.  The
+and end-to-end serves through trace replay (``repro.obs``).  The
 bit-identity of every registered scenario's workload digest against the
 committed pin lives in ``benchmarks/test_bench_scenarios.py``.
 """
@@ -24,6 +24,12 @@ from repro.cli import main as cli_main
 from repro.errors import ChannelError, ConfigurationError, GeometryError
 from repro.geometry import HotspotModel, RandomWalkModel
 from repro.geometry.room import simulation_room
+from repro.obs import (
+    TraceRecorder,
+    TraceReplayer,
+    replay_cluster,
+    replay_service,
+)
 from repro.runtime import AllocationRequest
 from repro.scenarios import (
     OutageEvent,
@@ -38,9 +44,7 @@ from repro.scenarios import (
     nongrid_scene,
     optimized_led_layout,
     register_scenario,
-    run_scenario_benchmark,
     sample_timeline,
-    scenario_cluster_workload,
     scenario_names,
 )
 from repro.scenarios.mobility import MOVE_PHASES
@@ -48,6 +52,8 @@ from repro.system import simulation_scene
 
 EXPECTED_SCENARIOS = (
     "degraded-luminaire",
+    "fig6-hotmix",
+    "fig6-random",
     "hotspot-fleet",
     "led-outage",
     "mirror-nlos",
@@ -540,61 +546,60 @@ class TestWallMirror:
 # ----------------------------------------------------------------------
 
 
+def _replayer(name):
+    return TraceReplayer(TraceRecorder.record_scenario(name))
+
+
 class TestScenarioServing:
     def test_benchmark_serves_whole_trace(self):
-        report = run_scenario_benchmark("mirror-nlos")
+        replayer = _replayer("mirror-nlos")
+        report = replay_service(replayer)
         instance = build_scenario("mirror-nlos")
         assert report.scenario == "mirror-nlos"
-        assert report.requests == instance.requests
-        assert report.receivers_per_request == 4
-        assert report.workload_digest == instance.workload_digest()
-        assert report.health_status in ("ok", "degraded")
+        assert report.requests == report.served == instance.requests
+        assert report.stream_digest == replayer.stream_digest()
         assert report.p95_latency_ms >= report.p50_latency_ms >= 0.0
         payload = report.as_dict()
         assert payload["scenario"] == "mirror-nlos"
-        assert payload["metadata"]["fleet_size"] == 8
+        assert payload["counters"]["service.requests"] == instance.requests
 
     def test_mobility_scenario_exercises_incremental_path(self):
-        report = run_scenario_benchmark("waypoint-fleet")
-        assert report.incremental_updates > 0
-        assert report.warm_starts > 0
+        report = replay_service(_replayer("waypoint-fleet"))
+        assert report.counters["service.channel_incremental"] > 0
+        assert report.counters["service.warm_starts"] > 0
 
-    def test_cluster_workload_handoff(self):
-        scene, workload, instance = scenario_cluster_workload("led-outage")
-        assert len(workload) == instance.requests
-        assert all(
-            len(request.rx_positions_xy) == scene.num_receivers
-            for request in workload
-        )
+    def test_cluster_replay_injects_the_fault_plan(self):
+        # Every shard serves led-outage under its compiled faults: the
+        # corrupted channels show up as repairs, yet every request
+        # still gets an answer.
+        report = replay_cluster(_replayer("led-outage"), shards=2)
+        assert report.served == report.requests == 60
+        assert report.shed == 0
+        assert report.counters["resilience.channel_repairs"] > 0
 
     def test_cli_lists_scenarios(self, capsys):
-        assert cli_main(["bench", "--scenario", "list"]) == 0
+        assert cli_main(["record", "list"]) == 0
         out = capsys.readouterr().out.split()
         assert list(EXPECTED_SCENARIOS) == out
-        assert cli_main(["cluster-bench", "--scenario", "list"]) == 0
-        assert capsys.readouterr().out.split() == out
 
     def test_cli_unknown_scenario_fails_cleanly(self, capsys):
-        assert cli_main(["bench", "--scenario", "nope"]) == 2
+        assert cli_main(["record", "nope"]) == 2
         assert "unknown scenario" in capsys.readouterr().err
 
     def test_cli_runs_scenario_bench(self, capsys, tmp_path):
         import json
 
+        trace_path = tmp_path / "mirror-nlos.trace.jsonl"
         out_path = tmp_path / "report.json"
         assert (
-            cli_main(
-                [
-                    "bench",
-                    "--scenario",
-                    "mirror-nlos",
-                    "--json",
-                    str(out_path),
-                ]
-            )
+            cli_main(["record", "mirror-nlos", "--output", str(trace_path)])
             == 0
         )
-        assert "workload digest" in capsys.readouterr().out
+        assert (
+            cli_main(["replay", str(trace_path), "--json", str(out_path)])
+            == 0
+        )
+        assert "stream digest" in capsys.readouterr().out
         payload = json.loads(out_path.read_text())
         assert payload["scenario"] == "mirror-nlos"
         assert payload["requests"] == 30

@@ -16,6 +16,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.experiments.scenarios import fig6_instances
+from repro.obs import TraceRecorder, TraceReplayer, replay_service
 from repro.runtime import (
     AllocationRequest,
     AllocationService,
@@ -28,7 +29,6 @@ from repro.runtime import (
     add_span_attributes,
     channel_matrix_stack,
     current_span,
-    run_benchmark,
 )
 from repro.system import simulation_scene
 
@@ -336,21 +336,24 @@ class TestChromeTraceExport:
             assert entry["duration"] >= 0
 
 
-class TestBenchTracing:
-    def test_run_benchmark_with_tracer(self):
-        tracer = Tracer(TracingOptions(seed=30))
-        report = run_benchmark(
-            requests=6, distinct_placements=2, seed=5, tracer=tracer
-        )
-        assert report.traced_spans == len(tracer.finished_spans()) > 0
-        assert report.stage_breakdown
-        for stats in report.stage_breakdown.values():
-            assert stats["count"] >= 1
-            assert stats["mean_ms"] >= 0.0
-        payload = report.as_dict()
-        assert payload["stage_breakdown"] == report.stage_breakdown
+@pytest.fixture(scope="module")
+def trace_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("traces") / "mirror-nlos.trace.jsonl"
+    TraceRecorder.record_scenario("mirror-nlos").save(str(path))
+    return str(path)
 
-    def test_cli_bench_writes_artifacts(self, tmp_path, capsys):
+
+class TestBenchTracing:
+    def test_replay_with_tracer(self, trace_file):
+        tracer = Tracer(TracingOptions(seed=30))
+        report = replay_service(TraceReplayer.load(trace_file), tracer=tracer)
+        assert tracer.finished_spans()
+        assert report.stage_self_ms
+        assert all(ms >= 0.0 for ms in report.stage_self_ms.values())
+        payload = report.as_dict()
+        assert payload["stage_self_ms"] == report.stage_self_ms
+
+    def test_cli_bench_writes_artifacts(self, trace_file, tmp_path, capsys):
         from repro.cli import main as cli_main
 
         trace_path = tmp_path / "trace.json"
@@ -358,9 +361,8 @@ class TestBenchTracing:
         json_path = tmp_path / "bench.json"
         code = cli_main(
             [
-                "bench",
-                "--requests", "6",
-                "--distinct", "2",
+                "replay",
+                trace_file,
                 "--trace", str(trace_path),
                 "--metrics-prom", str(prom_path),
                 "--json", str(json_path),
@@ -373,14 +375,14 @@ class TestBenchTracing:
         )
         assert "repro_service_requests_total" in prom_path.read_text()
         report = json.loads(json_path.read_text())
-        assert report["requests"] == 6
+        assert report["requests"] == 30
         out = capsys.readouterr().out
         assert "stage" in out
 
-    def test_cli_metrics_subcommand(self, capsys):
+    def test_cli_metrics_subcommand(self, trace_file, capsys):
         from repro.cli import main as cli_main
 
-        code = cli_main(["metrics", "--requests", "6", "--distinct", "2"])
+        code = cli_main(["replay", trace_file, "--metrics-prom", "-"])
         assert code == 0
         out = capsys.readouterr().out
         assert "# TYPE repro_service_requests_total counter" in out
