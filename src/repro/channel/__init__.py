@@ -20,6 +20,7 @@ from .estimation import (
 from .los import (
     channel_matrix,
     channel_matrix_for_positions,
+    channel_matrix_stack,
     channel_matrix_update,
     los_gain,
     los_gain_stack,
@@ -64,6 +65,7 @@ __all__ = [
     "received_swing_estimate",
     "channel_matrix",
     "channel_matrix_for_positions",
+    "channel_matrix_stack",
     "channel_matrix_update",
     "los_gain",
     "los_gain_stack",

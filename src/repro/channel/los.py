@@ -209,6 +209,44 @@ def channel_matrix_for_positions(
     return los_gain_stack(tx_pos, tx_ori, orders, rx_pos, rx_ori, photodiodes)
 
 
+def channel_matrix_stack(
+    scene: Scene, placements_xy: "np.ndarray | list"
+) -> np.ndarray:
+    """(B, N, M) LOS gain matrices for B receiver placements.
+
+    *placements_xy* has shape (B, M, 2); each placement moves the
+    scene's M receivers to new XY positions (heights, orientations and
+    photodiode models are taken from the scene).  The full stack is one
+    :func:`los_gain_stack` broadcast over all B * N * M links, with no
+    intermediate :class:`~repro.system.Scene` objects.
+    """
+    placements = np.asarray(placements_xy, dtype=float)
+    if placements.ndim != 3 or placements.shape[2] != 2:
+        raise ChannelError(
+            f"expected a (B, M, 2) placement array, got shape {placements.shape}"
+        )
+    if placements.shape[1] != scene.num_receivers:
+        raise GeometryError(
+            f"expected {scene.num_receivers} receivers per placement, "
+            f"got {placements.shape[1]}"
+        )
+    if not (
+        np.all(placements[..., 0] >= 0.0)
+        and np.all(placements[..., 0] <= scene.room.width)
+        and np.all(placements[..., 1] >= 0.0)
+        and np.all(placements[..., 1] <= scene.room.depth)
+    ):
+        raise GeometryError("placement outside the room footprint")
+    base_pos, rx_ori, photodiodes = _scene_rx_arrays(scene)
+    heights = base_pos[:, 2]
+    rx_pos = np.concatenate(
+        [placements, np.broadcast_to(heights[:, None], placements.shape[:2] + (1,))],
+        axis=2,
+    )
+    tx_pos, tx_ori, orders = _scene_tx_arrays(scene)
+    return los_gain_stack(tx_pos, tx_ori, orders, rx_pos, rx_ori, photodiodes)
+
+
 def channel_matrix_update(
     scene: Scene,
     matrix: np.ndarray,

@@ -18,8 +18,8 @@ home for both views:
 
 It lives in the channel layer (not :mod:`repro.runtime`) so that
 :mod:`repro.core` solvers may evaluate candidates through the exact
-same stacks the serving runtime uses; :mod:`repro.runtime.batch`
-re-exports everything for its existing callers.
+same stacks the serving runtime uses; :mod:`repro.runtime` re-exports
+them for its callers.
 """
 
 from __future__ import annotations

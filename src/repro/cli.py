@@ -250,7 +250,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     replay_parser.add_argument(
         "--solver",
         default=None,
-        choices=("binary", "greedy", "heuristic", "optimal", "swing"),
+        choices=("greedy", "heuristic", "optimal", "swing"),
         help="serve every request with this solver instead of the "
         "recorded one (the report's stream digest names the override)",
     )

@@ -11,12 +11,13 @@ expensive look-ahead.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..errors import AllocationError
+from ..errors import AllocationError, DeadlineExceeded
 from .allocation import Allocation, Assignment
 from .problem import AllocationProblem
 
@@ -28,9 +29,13 @@ class GreedyMarginalHeuristic:
     Attributes:
         objective: ``"utility"`` (sum-log, the paper's objective) or
             ``"throughput"`` (sum-rate) as the greedy criterion.
+        deadline: optional absolute :func:`time.monotonic` timestamp;
+            :meth:`solve` raises :class:`~repro.errors.DeadlineExceeded`
+            at the first grant step that starts past it.
     """
 
     objective: str = "utility"
+    deadline: Optional[float] = None
 
     def __post_init__(self) -> None:
         if self.objective not in ("utility", "throughput"):
@@ -54,6 +59,8 @@ class GreedyMarginalHeuristic:
         unassigned = set(range(problem.num_transmitters))
         current = self._score(problem, swings)
         while budget_left >= step_cost - 1e-12 and unassigned:
+            if self.deadline is not None and time.monotonic() >= self.deadline:
+                raise DeadlineExceeded("greedy allocation passed its deadline")
             best_gain = 0.0
             best_pair: Optional[Assignment] = None
             best_score = current

@@ -29,6 +29,7 @@ flow into an optional metrics registry
 from __future__ import annotations
 
 import math
+import time
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from typing import Any, List, Optional, Tuple
@@ -36,7 +37,7 @@ from typing import Any, List, Optional, Tuple
 import numpy as np
 from scipy import optimize
 
-from ..errors import OptimizationError
+from ..errors import DeadlineExceeded, OptimizationError
 from ..tracecontext import add_span_attributes, current_span
 from .allocation import Allocation
 from .heuristic import RankingHeuristic
@@ -71,6 +72,10 @@ class OptimizerOptions:
             initial point (scaled into the budget interior); this is how
             the serving layer and mobility sweeps seed SLSQP from the
             nearest cached allocation.
+        deadline: optional absolute :func:`time.monotonic` timestamp;
+            the objective raises :class:`~repro.errors.DeadlineExceeded`
+            at its first evaluation past it.  The serving layer fills it
+            from the request's budget.
     """
 
     restarts: int = 2
@@ -84,6 +89,7 @@ class OptimizerOptions:
     reduction_min_extra: int = 2
     reduction_utility_slack: float = 1e-6
     warm_start: Optional[np.ndarray] = None
+    deadline: Optional[float] = None
 
     def __post_init__(self) -> None:
         if self.restarts < 0:
@@ -507,12 +513,17 @@ class ContinuousOptimizer:
         ln2 = math.log(2.0)
         local_tx = support.local_tx
         rx_indices = support.rx_indices
+        deadline = options.deadline
         # Objective trajectory only accrues when a trace span is active
         # (the list append would be waste on the untraced hot path).
         span = current_span()
         trajectory: Optional[List[float]] = [] if span is not None else None
 
         def objective(x: np.ndarray) -> Tuple[float, np.ndarray]:
+            # The solve's one deadline checkpoint: evaluations are at
+            # most tens of milliseconds apart.
+            if deadline is not None and time.monotonic() >= deadline:
+                raise DeadlineExceeded("SLSQP passed its deadline")
             swings = support.active_swings(x, max_swing)
             quarter = (swings / 2.0) ** 2
             amplitudes = scale * channel.T @ quarter  # (M, M)

@@ -45,6 +45,7 @@ worse (in Eq. 5 utility) than the ranking-heuristic seed.
 from __future__ import annotations
 
 import hashlib
+import time
 from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Any, ContextManager, List, Optional, Tuple
@@ -53,7 +54,7 @@ import numpy as np
 
 from .. import constants
 from ..channel.stacks import utility_from_amplitude_components
-from ..errors import OptimizationError
+from ..errors import DeadlineExceeded, OptimizationError
 from ..tracecontext import add_span_attributes, current_span
 from .allocation import Allocation, Assignment, binary_allocation
 from .heuristic import RankingHeuristic
@@ -86,6 +87,9 @@ class SwingSearchOptions:
             :func:`plan_reduction`.
         warm_start: optional (N, M) swing matrix [A]; its binary
             projection replaces the ranking seed when it scores better.
+        deadline: optional absolute :func:`time.monotonic` timestamp;
+            the search raises :class:`~repro.errors.DeadlineExceeded`
+            at the first round that starts past it.
     """
 
     kappa: float = constants.DEFAULT_KAPPA
@@ -97,6 +101,7 @@ class SwingSearchOptions:
     reduction_margin: float = 0.5
     reduction_min_extra: int = 2
     warm_start: Optional[np.ndarray] = None
+    deadline: Optional[float] = None
 
     def __post_init__(self) -> None:
         if self.max_iterations < 1:
@@ -503,7 +508,10 @@ class SwingSearchSolver:
         current = self._utility(problem, state)
         trajectory = [current]
         iterations = flips = swaps = 0
+        deadline = self.options.deadline
         for _ in range(self.options.max_iterations):
+            if deadline is not None and time.monotonic() >= deadline:
+                raise DeadlineExceeded("swing search passed its deadline")
             signals, totals, moves = self._candidate_moves(state, allowed, capacity)
             if not moves:
                 break

@@ -18,6 +18,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..channel import channel_matrix_stack
 from ..core import (
     AllocationProblem,
     ContinuousOptimizer,
@@ -25,7 +26,6 @@ from ..core import (
     RankingHeuristic,
 )
 from ..errors import ConfigurationError
-from ..runtime import channel_matrix_stack
 from .config import ExperimentConfig, default_config
 from .scenarios import fig6_instances
 

@@ -4,11 +4,9 @@ Turns the per-call experiment code into a high-throughput engine:
 
 - :mod:`repro.runtime.cache` -- bounded LRU caches keyed by quantized
   scene fingerprints;
-- :mod:`repro.runtime.batch` -- one-broadcast channel/SINR evaluation
-  for stacks of placements and allocations;
 - :mod:`repro.runtime.pool` -- deterministic in-process execution of
-  allocation solves, deadline-bounded and degrading down the solver
-  chain;
+  allocation solves, degrading down the solver chain when a solver
+  misses its deadline or fails to converge;
 - :mod:`repro.runtime.metrics` -- labeled counters/gauges/histograms
   exported as a dict snapshot or Prometheus text;
 - :mod:`repro.runtime.tracing` -- deterministic, sampling-aware request
@@ -20,9 +18,13 @@ Turns the per-call experiment code into a high-throughput engine:
 - :mod:`repro.runtime.service` -- the :class:`AllocationService`
   facade routing requests through cache -> batch -> solve (benchmarked
   by trace replay, :mod:`repro.obs.replay`).
+
+The one-broadcast channel/SINR stacks (:func:`channel_matrix_stack`,
+:func:`throughput_stack`, ...) live in :mod:`repro.channel` and are
+re-exported here.
 """
 
-from .batch import (
+from ..channel import (
     channel_matrix_stack,
     received_amplitude_stack,
     sinr_stack,
@@ -40,7 +42,6 @@ from .metrics import (
 )
 from .pool import (
     SOLVERS,
-    PoolOptions,
     SolveOutcome,
     SolverPool,
     SolveTask,
@@ -49,8 +50,6 @@ from .pool import (
 from .resilience import (
     DEGRADATION_CHAIN,
     Deadline,
-    ResilienceOptions,
-    ResiliencePolicy,
     degradation_fallbacks,
 )
 from .service import (
@@ -82,7 +81,6 @@ __all__ = [
     "MetricsRegistry",
     "merged_prometheus",
     "SOLVERS",
-    "PoolOptions",
     "SolveOutcome",
     "SolverPool",
     "SolveTask",
@@ -90,8 +88,6 @@ __all__ = [
     "FaultPlan",
     "DEGRADATION_CHAIN",
     "Deadline",
-    "ResilienceOptions",
-    "ResiliencePolicy",
     "degradation_fallbacks",
     "AllocationRequest",
     "AllocationResult",

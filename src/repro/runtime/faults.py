@@ -21,11 +21,11 @@ from __future__ import annotations
 import hashlib
 import time
 from dataclasses import dataclass
-from typing import Hashable
+from typing import Hashable, Optional
 
 import numpy as np
 
-from ..errors import ConfigurationError
+from ..errors import ConfigurationError, DeadlineExceeded
 from ..tracecontext import add_span_attributes
 
 
@@ -45,7 +45,8 @@ class FaultPlan:
         seed: root of every fault decision; same seed -> same faults.
         slow_solve_probability: chance a solve sleeps
             ``slow_solve_seconds`` before running (models a wedged
-            SLSQP iteration; surfaces as a task timeout upstream).
+            SLSQP iteration; a stall past the solve's deadline surfaces
+            as :class:`~repro.errors.DeadlineExceeded`).
         slow_solve_seconds: the injected stall duration [s].
         corrupt_channel_probability: chance a freshly computed channel
             matrix gets a NaN burned into it (models a corrupted
@@ -86,11 +87,17 @@ class FaultPlan:
             return False
         return hash_unit(self.seed, kind, key, attempt) < probability
 
-    def maybe_slow_solve(self, key: Hashable, attempt: int = 0) -> float:
+    def maybe_slow_solve(
+        self, key: Hashable, attempt: int = 0, deadline: Optional[float] = None
+    ) -> float:
         """Sleep out an injected stall; returns the seconds slept.
 
-        An injected stall is flagged on the active trace span (if any),
-        so traced chaos runs show *why* a solve span is long.
+        *deadline* is the solve's absolute :func:`time.monotonic`
+        budget: the stall sleeps at most until then and raises
+        :class:`DeadlineExceeded` when the budget cut it short, the way
+        a solver's own checkpoint would.  An injected stall is flagged
+        on the active trace span (if any), so traced chaos runs show
+        *why* a solve span is long.
         """
         if not self._fires("slow", key, attempt, self.slow_solve_probability):
             return 0.0
@@ -98,6 +105,14 @@ class FaultPlan:
             fault_injected="slow_solve",
             fault_stall_seconds=self.slow_solve_seconds,
         )
+        if deadline is not None:
+            remaining = max(0.0, deadline - time.monotonic())
+            if remaining < self.slow_solve_seconds:
+                time.sleep(remaining)
+                raise DeadlineExceeded(
+                    f"injected {self.slow_solve_seconds:.3f}s stall passed "
+                    "the solve's deadline"
+                )
         time.sleep(self.slow_solve_seconds)
         return self.slow_solve_seconds
 

@@ -5,22 +5,25 @@ parameters)``.  :class:`SolverPool` solves :class:`SolveTask` batches
 one after another in the calling thread and returns the results in
 submission order.
 
-A task that carries a deadline runs on a helper thread bounded by the
-remaining budget (and the pool's ``task_timeout``).  With a
-:class:`~repro.runtime.resilience.ResiliencePolicy` attached, a solve
-that times out or fails to converge falls down the solver degradation
-chain (``optimal -> swing -> binary -> greedy -> heuristic``): callers
-get the best cheaper allocation, flagged as degraded, instead of an
-exception.
+A task's deadline reaches the solver itself: the SLSQP objective, each
+swing-search round and each greedy step check it and raise
+:class:`~repro.errors.DeadlineExceeded` once it has passed, so no solve
+runs on a helper thread.  A solve that misses its deadline or fails to
+converge falls down the degradation chain (``optimal -> swing ->
+heuristic``, see :mod:`repro.runtime.resilience`): callers get the best
+cheaper allocation, flagged as degraded, instead of an exception.
 
 Solvers are looked up by name in :data:`SOLVERS` (``"heuristic"``,
-``"greedy"``, ``"optimal"``, ``"swing"``, ``"binary"``).
+``"greedy"``, ``"optimal"``, ``"swing"``).
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor, TimeoutError as FutureTimeout
+
+# Not used here: perfbench/layers.py patches ``pool.ThreadPoolExecutor``,
+# so the name stays importable from this module.
+from concurrent.futures import ThreadPoolExecutor  # noqa: F401
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, Hashable, List, Optional, Sequence
 
@@ -35,7 +38,6 @@ from ..core import (
     OptimizerOptions,
     RankingHeuristic,
     SwingSearchOptions,
-    binary_projection,
     solve_optimal,
     solve_swing,
 )
@@ -43,7 +45,7 @@ from ..errors import DeadlineExceeded, OptimizationError, RuntimeEngineError
 from ..optics import LEDModel, Photodiode, cree_xte_paper_power, s5971
 from .faults import FaultPlan
 from .metrics import MetricsRegistry
-from .resilience import Deadline, ResiliencePolicy, degradation_fallbacks
+from .resilience import Deadline, degradation_fallbacks
 from .tracing import SpanRecorder, shift_payload
 
 
@@ -52,18 +54,19 @@ class SolveTask:
     """One allocation solve: a problem instance plus solver selection.
 
     ``warm_start`` is an optional (N, M) swing matrix that seeds SLSQP
-    for the ``optimal``/``binary`` solvers and the combinatorial
-    ``swing`` search (where its binary projection competes with the
-    ranked seed) -- the serving layer fills it with the nearest cached
-    allocation so mobility-style traffic skips most of the solver
-    iterations.  ``reduce`` enables the SJR-pruned reduced-variable
-    program / candidate-pair pruning (with automatic full-dimension
-    fallback).
+    for the ``optimal`` solver and the combinatorial ``swing`` search
+    (where its binary projection competes with the ranked seed) -- the
+    serving layer fills it with the nearest cached allocation so
+    mobility-style traffic skips most of the solver iterations.
+    ``reduce`` enables the SJR-pruned reduced-variable program /
+    candidate-pair pruning (with automatic full-dimension fallback).
 
     ``deadline`` is an absolute :func:`time.monotonic` timestamp (the
-    request's remaining budget, set by the service).  ``faults``/
-    ``fault_key`` hook the seedable chaos harness (:class:`FaultPlan`)
-    into the solve.
+    request's remaining budget, set by the service).  It reaches the
+    solver the way ``warm_start`` does, and the solver raises
+    :class:`~repro.errors.DeadlineExceeded` at its first checkpoint past
+    it.  ``faults``/``fault_key`` hook the seedable chaos harness
+    (:class:`FaultPlan`) into the solve.
 
     ``traced`` asks for a span payload: the solve runs inside a
     :class:`~repro.runtime.tracing.SpanRecorder` span, and
@@ -102,6 +105,7 @@ class SolveTask:
             seed=self.seed,
             reduce=self.reduce,
             warm_start=self.warm_start,
+            deadline=self.deadline,
         )
 
     def swing_options(self) -> SwingSearchOptions:
@@ -110,6 +114,7 @@ class SolveTask:
             seed=self.seed,
             reduce=self.reduce,
             warm_start=self.warm_start,
+            deadline=self.deadline,
         )
 
     def deadline_object(self) -> Deadline:
@@ -146,17 +151,11 @@ def _solve_heuristic(task: SolveTask, metrics=None) -> Allocation:
 
 
 def _solve_greedy(task: SolveTask, metrics=None) -> Allocation:
-    return GreedyMarginalHeuristic().solve(task.problem())
+    return GreedyMarginalHeuristic(deadline=task.deadline).solve(task.problem())
 
 
 def _solve_optimal(task: SolveTask, metrics=None) -> Allocation:
     return solve_optimal(task.problem(), task.optimizer_options(), metrics=metrics)
-
-
-def _solve_binary(task: SolveTask, metrics=None) -> Allocation:
-    return binary_projection(
-        solve_optimal(task.problem(), task.optimizer_options(), metrics=metrics)
-    )
 
 
 def _solve_swing(task: SolveTask, metrics=None) -> Allocation:
@@ -169,7 +168,6 @@ SOLVERS: Dict[str, Callable[..., Allocation]] = {
     "greedy": _solve_greedy,
     "optimal": _solve_optimal,
     "swing": _solve_swing,
-    "binary": _solve_binary,
 }
 
 
@@ -192,50 +190,8 @@ def solve_task(
             f"unknown solver {task.solver!r}; available: {sorted(SOLVERS)}"
         ) from None
     if task.faults is not None:
-        task.faults.maybe_slow_solve(task.fault_key, attempt)
+        task.faults.maybe_slow_solve(task.fault_key, attempt, task.deadline)
     return solver(task, metrics=metrics).swings
-
-
-def solve_task_traced(
-    task: SolveTask,
-    metrics: Optional[MetricsRegistry] = None,
-    attempt: int = 0,
-) -> "tuple[np.ndarray, list]":
-    """Execute one task inside a recorded span; returns (swings, payload).
-
-    The payload is a list of plain span dicts with times relative to
-    this call (see :class:`~repro.runtime.tracing.SpanRecorder`); the
-    caller shifts them onto its own clock.  Running inside the
-    recorder's span also routes optimizer introspection
-    (:func:`repro.tracecontext.add_span_attributes`) into the payload.
-    """
-    recorder = SpanRecorder()
-    with recorder.span(
-        "solve", solver=task.solver, attempt=attempt, reduce=task.reduce,
-        warm_started=task.warm_start is not None,
-    ):
-        swings = solve_task(task, metrics=metrics, attempt=attempt)
-    return swings, recorder.payload()
-
-
-@dataclass(frozen=True)
-class PoolOptions:
-    """Knobs for :class:`SolverPool`.
-
-    Attributes:
-        task_timeout: wall-clock limit [s] on one solve attempt of a
-            task that carries a deadline, and on every degradation
-            fallback.  Tasks without a deadline run unbounded on the
-            calling thread.
-    """
-
-    task_timeout: float = 120.0
-
-    def __post_init__(self) -> None:
-        if self.task_timeout <= 0:
-            raise RuntimeEngineError(
-                f"task timeout must be positive, got {self.task_timeout}"
-            )
 
 
 class SolverPool:
@@ -243,18 +199,12 @@ class SolverPool:
 
     Tasks run one at a time in submission order; every solver is a
     pure function of its task, so the same batch always returns the
-    same swing matrices.
+    same swing matrices.  Degraded solves are counted under
+    ``resilience.*`` and ``pool.degraded`` in *metrics*.
     """
 
-    def __init__(
-        self,
-        options: Optional[PoolOptions] = None,
-        metrics: Optional[MetricsRegistry] = None,
-        resilience: Optional[ResiliencePolicy] = None,
-    ) -> None:
-        self.options = options if options is not None else PoolOptions()
+    def __init__(self, metrics: Optional[MetricsRegistry] = None) -> None:
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self.resilience = resilience
 
     def solve_many(self, tasks: Sequence[SolveTask]) -> List[np.ndarray]:
         """Solve every task, preserving submission order."""
@@ -270,165 +220,100 @@ class SolverPool:
 
     # ------------------------------------------------------------------
 
-    def _call_bounded(
-        self,
-        task: SolveTask,
-        timeout: Optional[float],
-        attempt: int,
-        spans: Optional[List[dict]] = None,
+    def _attempt(
+        self, task: SolveTask, attempt: int, spans: Optional[List[dict]]
     ) -> np.ndarray:
-        """Run one solve, bounded by *timeout* seconds when finite.
+        """Run one solve attempt on the calling thread.
 
-        The bounded path runs the solve on a helper thread and abandons
-        it on expiry (raising :class:`DeadlineExceeded`); a genuinely
-        wedged solve leaks its thread -- the price of preemption-free
-        Python -- but the batch keeps making progress.
-
-        For traced tasks each attempt's span payload is shifted onto
-        this process's clock and collected into *spans*; a timed-out
-        attempt contributes a synthetic span flagged ``timed_out``
-        (the real one is stranded on the abandoned thread).
+        For traced tasks (*spans* is a list) the attempt runs inside a
+        recorded ``solve`` span whose payload is shifted onto this
+        process's clock and appended to *spans*, whether the attempt
+        returned or raised.  Running inside the recorder's span also
+        routes optimizer introspection
+        (:func:`repro.tracecontext.add_span_attributes`) into the
+        payload.  An attempt stopped by its deadline is flagged
+        ``timed_out``.
         """
-        traced = task.traced and spans is not None
-        call_start = time.perf_counter()
+        with self.metrics.timer("pool.solve_seconds"):
+            if spans is None:
+                return solve_task(task, metrics=self.metrics, attempt=attempt)
+            call_start = time.perf_counter()
+            recorder = SpanRecorder()
+            try:
+                with recorder.span(
+                    "solve", solver=task.solver, attempt=attempt,
+                    reduce=task.reduce, warm_started=task.warm_start is not None,
+                ) as span:
+                    try:
+                        return solve_task(
+                            task, metrics=self.metrics, attempt=attempt
+                        )
+                    except DeadlineExceeded:
+                        span.set_attribute("timed_out", True)
+                        raise
+            finally:
+                spans.extend(shift_payload(recorder.payload(), call_start))
 
-        def _run() -> np.ndarray:
-            if traced:
-                swings, payload = solve_task_traced(
-                    task, metrics=self.metrics, attempt=attempt
-                )
-                spans.extend(shift_payload(payload, call_start))
-                return swings
-            return solve_task(task, metrics=self.metrics, attempt=attempt)
-
-        if timeout is None or timeout == float("inf"):
-            with self.metrics.timer("pool.solve_seconds"):
-                return _run()
-        if timeout <= 0:
-            raise DeadlineExceeded(
-                f"no time left for solver {task.solver!r} (attempt {attempt})"
-            )
-        executor = ThreadPoolExecutor(max_workers=1)
-        future = executor.submit(_run)
+    def _solve_outcome(self, task: SolveTask) -> SolveOutcome:
+        spans: Optional[List[dict]] = [] if task.traced else None
         try:
-            with self.metrics.timer("pool.solve_seconds"):
-                return future.result(timeout=timeout)
-        except FutureTimeout:
-            if traced:
-                spans.append(
-                    {
-                        "name": "solve",
-                        "span_id": "",
-                        "parent_id": None,
-                        "start": call_start,
-                        "end": call_start + timeout,
-                        "attributes": {
-                            "solver": task.solver,
-                            "attempt": attempt,
-                            "timed_out": True,
-                        },
-                    }
-                )
-            raise DeadlineExceeded(
-                f"solver {task.solver!r} exceeded {timeout:.3f}s "
-                f"(attempt {attempt})"
-            ) from None
-        finally:
-            executor.shutdown(wait=False, cancel_futures=True)
+            # A budget spent before the solve starts counts as a missed
+            # first attempt: go straight to the fallbacks.
+            task.deadline_object().require("solve")
+            swings = self._attempt(task, 0, spans)
+        except (DeadlineExceeded, OptimizationError) as error:
+            return self._degraded_outcome(task, error, spans)
+        return SolveOutcome(
+            swings=swings, solver=task.solver, requested_solver=task.solver,
+            spans=tuple(spans) if spans else (),
+        )
 
     def _degraded_outcome(
         self,
         task: SolveTask,
-        deadline: Deadline,
-        timed_out: bool,
-        first_attempt: int,
         cause: Exception,
-        spans: Optional[List[dict]] = None,
+        spans: Optional[List[dict]],
     ) -> SolveOutcome:
-        """Fall down the degradation chain and return the best cheaper solve."""
-        policy = self.resilience
-        if policy is None or not policy.options.degrade:
-            raise cause
-        attempt = first_attempt
-        deadline_hit = timed_out and deadline.expired
-        fallbacks = degradation_fallbacks(task.solver, timed_out=timed_out)
-        for position, fallback in enumerate(fallbacks):
-            degraded_task = replace(task, solver=fallback, warm_start=None)
-            last = position == len(fallbacks) - 1
-            timeout = deadline.cap(self.options.task_timeout)
-            if timeout is not None and timeout <= 0 and not last:
-                attempt += 1
+        """Fall down the degradation chain and return the best cheaper solve.
+
+        Fallbacks keep the task's deadline, and one that would start
+        past it is skipped.  The last resort (always the heuristic)
+        runs without the deadline: the caller must get an answer even
+        when the budget is spent, flagged ``deadline_exceeded``.
+        """
+        deadline = task.deadline_object()
+        fallbacks = degradation_fallbacks(task.solver)
+        for attempt, fallback in enumerate(fallbacks, start=1):
+            last = attempt == len(fallbacks)
+            if not last and deadline.expired:
                 continue
-            if last and deadline.bounded:
-                # Last resort: the caller must get an answer even when
-                # the budget is spent (or nearly so) -- run the cheapest
-                # solver bounded by the task timeout alone and flag the
-                # overrun instead of enforcing it.
-                if timeout is not None and timeout <= 0:
-                    deadline_hit = True
-                timeout = self.options.task_timeout
+            degraded_task = replace(
+                task,
+                solver=fallback,
+                warm_start=None,
+                deadline=None if last else task.deadline,
+            )
             try:
-                swings = self._call_bounded(
-                    degraded_task, timeout, attempt, spans=spans
-                )
+                swings = self._attempt(degraded_task, attempt, spans)
             except (DeadlineExceeded, OptimizationError):
-                deadline_hit = deadline_hit or deadline.expired
-                attempt += 1
                 continue
-            policy.count("degraded_solves")
+            expired = deadline.expired
+            self.metrics.counter("resilience.degraded_solves").increment()
             self.metrics.counter(
                 "pool.degraded", requested=task.solver, fallback=fallback
             ).increment()
-            if deadline_hit or deadline.expired:
-                policy.count("deadline_expirations")
+            if expired:
+                self.metrics.counter("resilience.deadline_expirations").increment()
             return SolveOutcome(
                 swings=swings,
                 solver=fallback,
                 requested_solver=task.solver,
                 degraded=True,
-                deadline_exceeded=deadline_hit or deadline.expired,
+                deadline_exceeded=expired,
                 spans=tuple(spans) if spans else (),
             )
-        policy.count("deadline_expirations")
+        self.metrics.counter("resilience.deadline_expirations").increment()
         raise DeadlineExceeded(
             f"every fallback for solver {task.solver!r} failed within the "
             f"deadline: {cause}"
         ) from cause
-
-    def _solve_outcome(self, task: SolveTask) -> SolveOutcome:
-        deadline = task.deadline_object()
-        spans: Optional[List[dict]] = [] if task.traced else None
-        if deadline.expired:
-            # The budget was spent before the solve started: skip
-            # straight to the cheapest fallback so the caller still
-            # gets an allocation.
-            return self._degraded_outcome(
-                task,
-                deadline,
-                timed_out=True,
-                first_attempt=0,
-                cause=DeadlineExceeded("deadline expired before solve"),
-                spans=spans,
-            )
-        # A task with a deadline is bounded by its remaining budget and
-        # the task timeout; one without runs unbounded on this thread,
-        # with no helper thread to pay for.
-        timeout = (
-            deadline.cap(self.options.task_timeout) if deadline.bounded else None
-        )
-        try:
-            swings = self._call_bounded(task, timeout, attempt=0, spans=spans)
-        except DeadlineExceeded as error:
-            return self._degraded_outcome(
-                task, deadline, timed_out=True,
-                first_attempt=1, cause=error, spans=spans,
-            )
-        except OptimizationError as error:
-            return self._degraded_outcome(
-                task, deadline, timed_out=False,
-                first_attempt=1, cause=error, spans=spans,
-            )
-        return SolveOutcome(
-            swings=swings, solver=task.solver, requested_solver=task.solver,
-            spans=tuple(spans) if spans else (),
-        )

@@ -1,21 +1,24 @@
-"""Fault-tolerance primitives for the allocation-serving runtime.
+"""Deadlines and the solver degradation chain.
 
-The fast path (cache -> batch -> solve) assumes every solve returns.
-In production it will not: SLSQP wedges on a bad conditioning, a
-caller shows up with a latency budget.  This module supplies the two
-mechanisms the service composes into "always answer, degrade
-explicitly":
+The fast path (cache -> batch -> solve) assumes every solve returns in
+time.  In production it will not: SLSQP wedges on a bad conditioning,
+a caller shows up with a latency budget.  This module supplies the two
+pieces the service composes into "always answer, degrade explicitly":
 
 - :class:`Deadline` -- a per-request wall-clock budget that flows from
   :class:`~repro.runtime.service.AllocationRequest` through the
-  allocation stage into :class:`~repro.runtime.pool.SolverPool` solve
-  timeouts;
-- the degradation chain -- ``optimal -> swing -> binary -> greedy ->
-  heuristic``: a timed-out or non-converged solve falls down the chain
+  allocation stage into :class:`~repro.runtime.pool.SolveTask`.  The
+  solvers check it themselves (the SLSQP objective, each swing-search
+  round, each greedy step) and raise
+  :class:`~repro.errors.DeadlineExceeded` at the first checkpoint past
+  it, so no solve is ever preempted on a helper thread;
+- the degradation chain -- ``optimal -> swing -> heuristic``: a solve
+  that misses its deadline or fails to converge falls down the chain
   and returns the best cheaper allocation instead of raising.
 
-Everything reports through ``resilience.*`` counters in the metrics
-registry; :meth:`AllocationService.health` summarizes them.
+:class:`~repro.runtime.pool.SolverPool` counts every fallback under
+``resilience.*`` in its metrics registry;
+:meth:`AllocationService.health` reports those counters.
 """
 
 from __future__ import annotations
@@ -26,42 +29,23 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Tuple
 
 from ..errors import ConfigurationError, DeadlineExceeded
-from .metrics import MetricsRegistry
 
 #: Solver fallback order: each entry degrades to the ones after it.
-DEGRADATION_CHAIN: Tuple[str, ...] = (
-    "optimal",
-    "swing",
-    "binary",
-    "greedy",
-    "heuristic",
-)
-
-#: Chain members whose solve runs SLSQP (pointless to retry on timeout).
-_SLSQP_SOLVERS = frozenset({"optimal", "binary"})
+DEGRADATION_CHAIN: Tuple[str, ...] = ("optimal", "swing", "heuristic")
 
 
-def degradation_fallbacks(solver: str, timed_out: bool = False) -> Tuple[str, ...]:
+def degradation_fallbacks(solver: str) -> Tuple[str, ...]:
     """The solvers to fall back to, cheapest-compatible first.
 
-    For a solver outside the chain there is nothing cheaper that is
-    known-compatible, so the only fallback is the heuristic.  When the
-    failure was a *timeout* the SLSQP-based chain members are skipped:
-    ``binary`` is a projection of the same SLSQP solve that just timed
-    out, so retrying it would burn the remaining budget for nothing.
-    The combinatorial ``swing`` search is not SLSQP-based and runs in
-    milliseconds, so it stays in the chain even after a timeout --
-    giving a timed-out ``optimal`` a near-optimal answer before the
-    heuristic floor.
+    For a solver outside the chain (``greedy``) there is nothing
+    cheaper that is known-compatible, so the only fallback is the
+    heuristic.
     """
     try:
         position = DEGRADATION_CHAIN.index(solver)
     except ValueError:
         return ("heuristic",) if solver != "heuristic" else ()
-    fallbacks = DEGRADATION_CHAIN[position + 1 :]
-    if timed_out:
-        fallbacks = tuple(s for s in fallbacks if s not in _SLSQP_SOLVERS)
-    return fallbacks
+    return DEGRADATION_CHAIN[position + 1 :]
 
 
 # ----------------------------------------------------------------------
@@ -149,70 +133,3 @@ class Deadline:
         if timeout is None:
             return remaining
         return min(timeout, remaining)
-
-
-# ----------------------------------------------------------------------
-# Policy bundle
-# ----------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ResilienceOptions:
-    """Knobs for the service/pool fault-tolerance layer.
-
-    Attributes:
-        degrade: fall down :data:`DEGRADATION_CHAIN` on timeout or
-            non-convergence instead of raising (disable to surface
-            :class:`DeadlineExceeded` / solver errors to the caller).
-        default_deadline_seconds: per-request budget applied when a
-            request does not carry its own (None = unbounded).
-    """
-
-    degrade: bool = True
-    default_deadline_seconds: Optional[float] = None
-
-    def __post_init__(self) -> None:
-        if self.default_deadline_seconds is not None and (
-            not math.isfinite(self.default_deadline_seconds)
-            or self.default_deadline_seconds <= 0
-        ):
-            raise ConfigurationError(
-                f"default deadline must be positive and finite, got "
-                f"{self.default_deadline_seconds}"
-            )
-
-
-class ResiliencePolicy:
-    """Deadline defaults + degradation switch + metrics wiring."""
-
-    def __init__(
-        self,
-        options: Optional[ResilienceOptions] = None,
-        metrics: Optional[MetricsRegistry] = None,
-    ) -> None:
-        self.options = options if options is not None else ResilienceOptions()
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
-
-    def deadline_for(self, seconds: Optional[float]) -> Deadline:
-        """A request deadline: explicit seconds, else the default."""
-        if seconds is None:
-            seconds = self.options.default_deadline_seconds
-        return Deadline.after(seconds)
-
-    def count(self, name: str, amount: float = 1.0, **labels: str) -> None:
-        """Bump ``resilience.<name>``, optionally with metric labels.
-
-        Labeled variants render as ``resilience.<name>{k="v"}`` and are
-        picked up by :meth:`counters` alongside the plain counters.
-        """
-        self.metrics.counter(f"resilience.{name}", **labels).increment(amount)
-
-    def counters(self) -> dict:
-        """The ``resilience.*`` counters, one dict.
-
-        Reads only those counters (each an atomic locked read) instead
-        of a full registry snapshot -- a full snapshot computes
-        percentiles for every histogram, which is far too heavy for the
-        cluster controller's per-rollup health polling.
-        """
-        return self.metrics.counters_with_prefix("resilience.")

@@ -15,22 +15,26 @@ from __future__ import annotations
 import math
 import time
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Protocol, Sequence, Tuple
 
 import numpy as np
 
 from .. import constants
-from ..channel import AWGNNoise, channel_matrix_update
+from ..channel import (
+    AWGNNoise,
+    channel_matrix_stack,
+    channel_matrix_update,
+    throughput_stack,
+)
 from ..errors import ChannelError, RuntimeEngineError
 from ..system import FINGERPRINT_QUANTUM, Scene
 from ..tracecontext import Span
-from .batch import channel_matrix_stack, throughput_stack
 from .cache import LRUCache
 from .faults import FaultPlan
 from .metrics import DEFAULT_TIME_BUCKETS, MetricsRegistry
-from .pool import SOLVERS, PoolOptions, SolveOutcome, SolverPool, SolveTask
-from .resilience import ResilienceOptions, ResiliencePolicy
+from .pool import SOLVERS, SolveOutcome, SolverPool, SolveTask
+from .resilience import Deadline
 from .tracing import Tracer
 
 
@@ -83,9 +87,9 @@ class AllocationRequest:
         tag: optional caller-supplied request label.
         deadline_seconds: optional per-request latency budget [s].  The
             budget starts ticking when the batch is admitted and flows
-            through the allocation stage into the solve's timeout; an
-            expiring solve degrades down the solver chain
-            instead of blocking.
+            through the allocation stage into the solver's deadline
+            checkpoints; an expiring solve degrades down the solver
+            chain instead of blocking.
     """
 
     rx_positions_xy: Tuple[Tuple[float, float], ...]
@@ -162,8 +166,10 @@ class ServiceOptions:
     """Knobs for :class:`AllocationService`.
 
     Attributes:
-        channel_cache_capacity / allocation_cache_capacity / quantum /
-            pool: as in PR 1.
+        channel_cache_capacity / allocation_cache_capacity: LRU
+            capacities of the channel-matrix and solved-allocation
+            caches.
+        quantum: placement quantization step [m] of the cache keys.
         warm_start: seed optimal-mode SLSQP solves from the nearest
             previously solved placement (within ``warm_start_radius``)
             instead of the cold heuristic seed.
@@ -174,9 +180,6 @@ class ServiceOptions:
         incremental_channel: when a cache-missing placement differs from
             a remembered one in only some receivers, recompute just those
             columns of the channel matrix instead of the full rebuild.
-        resilience: fault-tolerance knobs (degradation chain, default
-            deadline); see
-            :class:`repro.runtime.resilience.ResilienceOptions`.
         faults: optional seedable chaos plan
             (:class:`repro.runtime.faults.FaultPlan`) injected into
             channel computation and solver execution -- test-only.
@@ -185,12 +188,10 @@ class ServiceOptions:
     channel_cache_capacity: int = 256
     allocation_cache_capacity: int = 1024
     quantum: float = FINGERPRINT_QUANTUM
-    pool: PoolOptions = field(default_factory=PoolOptions)
     warm_start: bool = True
     warm_start_radius: float = 1.5
     neighborhood_memory: int = 64
     incremental_channel: bool = True
-    resilience: ResilienceOptions = field(default_factory=ResilienceOptions)
     faults: Optional[FaultPlan] = None
 
     def __post_init__(self) -> None:
@@ -247,10 +248,7 @@ class AllocationService:
         )
         self._channel_cache = LRUCache(self.options.channel_cache_capacity)
         self._allocation_cache = LRUCache(self.options.allocation_cache_capacity)
-        self._resilience = ResiliencePolicy(self.options.resilience, self.metrics)
-        self._pool = SolverPool(
-            self.options.pool, self.metrics, resilience=self._resilience
-        )
+        self._pool = SolverPool(self.metrics)
         self._base_fingerprint = scene.fingerprint(self.options.quantum)
         self._slo: Optional[SLOObserver] = None
         # Recently served placements: key -> (M, 2) positions, used to
@@ -311,10 +309,8 @@ class AllocationService:
                 )
         traced = any(span is not None for span in roots)
         # Admission: each request's latency budget starts ticking now and
-        # flows through the allocation stage into the solve's timeout.
-        deadlines = [
-            self._resilience.deadline_for(r.deadline_seconds) for r in requests
-        ]
+        # flows through the allocation stage into the solver.
+        deadlines = [Deadline.after(r.deadline_seconds) for r in requests]
 
         stage_start = time.perf_counter() if traced else 0.0
         channels, placement_keys, channel_hits, channel_meta = (
@@ -430,8 +426,7 @@ class AllocationService:
         """
         health: Dict[str, Any] = {
             "status": "ok",
-            "resilience": self._resilience.counters(),
-            "pool": {"task_timeout": self.options.pool.task_timeout},
+            "resilience": self.metrics.counters_with_prefix("resilience."),
             "caches": {
                 "channel": self._channel_cache.snapshot(),
                 "allocation": self._allocation_cache.snapshot(),
@@ -542,7 +537,7 @@ class AllocationService:
             matrix = plan.maybe_corrupt_channel(matrix, key, attempt=0)
         if np.isfinite(matrix).all():
             return matrix, False
-        self._resilience.count("channel_repairs")
+        self.metrics.counter("resilience.channel_repairs").increment()
         with self.metrics.timer("service.channel_seconds"):
             rebuilt = channel_matrix_stack(self.scene, positions[None, :, :])[0]
         if plan is not None:
@@ -634,10 +629,6 @@ class AllocationService:
                 "service.channel_outcomes", outcome=meta["outcome"]
             ).increment()
         return channels, placement_keys, channel_hits, channel_meta
-
-    #: Solvers that consume a warm start (SLSQP seeding for
-    #: optimal/binary; seed-candidate projection for the swing search).
-    _WARM_SOLVERS = ("optimal", "swing", "binary")
 
     def _warm_start_for(
         self, solver: str, positions: np.ndarray
@@ -756,9 +747,11 @@ class AllocationService:
                 positions = np.array(request.rx_positions_xy, dtype=float)
                 miss_positions.append(positions)
                 warm = None
+                # Warm starts seed SLSQP (optimal) and compete with the
+                # ranked seed of the swing search.
                 if (
                     self.options.warm_start
-                    and request.solver in self._WARM_SOLVERS
+                    and request.solver in ("optimal", "swing")
                 ):
                     warm = self._warm_start_for(request.solver, positions)
                     if warm is not None:
@@ -798,7 +791,7 @@ class AllocationService:
                     # healthy solve under the same key must not inherit
                     # a timed-out fallback allocation.
                     self._allocation_cache.put(key, matrix)
-                    if key[2] in self._WARM_SOLVERS:
+                    if key[2] in ("optimal", "swing"):
                         self._remember_allocation(key, positions, matrix)
                 for i in slots:
                     swings[i] = matrix

@@ -385,32 +385,26 @@ class TestChaosHarnessOff:
 class TestChaosSwingTier:
     """The swing tier rides the degradation chain under injected faults."""
 
-    def test_timed_out_optimal_falls_to_swing(
-        self, chaos_scene, chaos_placements
-    ):
-        from repro.runtime import (
-            AllocationService,
-            FaultPlan,
-            PoolOptions,
-            ServiceOptions,
-        )
+    @pytest.fixture
+    def failing_optimal(self, monkeypatch):
+        """Every ``optimal`` solve fails to converge."""
+        from repro.errors import OptimizationError
+        from repro.runtime import pool
 
-        # Every first attempt wedges past the task timeout, well inside
-        # the request deadline.  SLSQP just burned a full timeout, so the
-        # solve degrades; the swing search is the first non-SLSQP chain
-        # member -- the caller gets a near-optimal answer, not the
-        # heuristic floor.  The stall outlasts the batch, so abandoned
-        # attempts do not compete with the fallbacks for the CPU.
-        plan = FaultPlan(
-            seed=5, slow_solve_probability=1.0, slow_solve_seconds=3.0,
-            fault_attempts=1,
-        )
-        service = AllocationService(
-            chaos_scene,
-            options=ServiceOptions(
-                pool=PoolOptions(task_timeout=1.0), faults=plan
-            ),
-        )
+        def fail(task, metrics=None):
+            raise OptimizationError("injected non-convergence")
+
+        monkeypatch.setitem(pool.SOLVERS, "optimal", fail)
+
+    def test_failed_optimal_falls_to_swing(
+        self, chaos_scene, chaos_placements, failing_optimal
+    ):
+        from repro.runtime import AllocationService
+
+        # SLSQP failed with most of the request deadline left, so the
+        # swing search -- the next chain member -- answers: the caller
+        # gets a near-optimal allocation, not the heuristic floor.
+        service = AllocationService(chaos_scene)
         requests = _chaos_requests(
             chaos_placements, [0, 1, 2], solver="optimal",
             deadline_seconds=30.0,
@@ -420,38 +414,26 @@ class TestChaosSwingTier:
         for request, result in zip(requests, results):
             assert result.request.tag == request.tag
             assert result.degraded
+            assert not result.deadline_exceeded
             assert result.solver_used == "swing"
             assert np.isfinite(result.swings).all()
             assert result.system_throughput > 0.0
         counters = service.health()["resilience"]
         assert counters["resilience.degraded_solves"] == len(requests)
+        assert "resilience.deadline_expirations" not in counters
 
     def test_swing_fallback_is_deterministic(
-        self, chaos_scene, chaos_placements
+        self, chaos_scene, chaos_placements, failing_optimal
     ):
-        from repro.runtime import (
-            AllocationService,
-            FaultPlan,
-            PoolOptions,
-            ServiceOptions,
-        )
+        from repro.runtime import AllocationService
 
         requests = _chaos_requests(
             chaos_placements, [0, 1], solver="optimal", deadline_seconds=30.0
         )
-        runs = []
-        for _ in range(2):
-            plan = FaultPlan(
-                seed=5, slow_solve_probability=1.0, slow_solve_seconds=3.0,
-                fault_attempts=1,
-            )
-            service = AllocationService(
-                chaos_scene,
-                options=ServiceOptions(
-                    pool=PoolOptions(task_timeout=1.0), faults=plan
-                ),
-            )
-            runs.append(service.handle_batch(requests))
+        runs = [
+            AllocationService(chaos_scene).handle_batch(requests)
+            for _ in range(2)
+        ]
         for first, second in zip(*runs):
             np.testing.assert_array_equal(first.swings, second.swings)
             assert first.solver_used == second.solver_used == "swing"
@@ -461,9 +443,8 @@ class TestChaosSwingTier:
     ):
         from repro.runtime import AllocationService, FaultPlan, ServiceOptions
 
-        # A wedged swing solve blows the request deadline: binary is
-        # SLSQP (skipped after a timeout) and the remaining chain gets
-        # no budget, so the last-resort heuristic answers, flagged.
+        # A wedged swing solve blows the request deadline, so the
+        # last-resort heuristic answers, flagged.
         plan = FaultPlan(
             seed=0, slow_solve_probability=1.0, slow_solve_seconds=0.5
         )

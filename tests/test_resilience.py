@@ -2,34 +2,33 @@
 
 Covers the primitives in isolation -- deadlines, the degradation chain,
 the fault plan's determinism -- plus the pool-level behaviors built
-from them (bounded hung solves, degradation on timeout).  End-to-end
-chaos scenarios
+from them (bounded hung solves, degradation on timeout) and the solver
+deadline checkpoints (no effect on a solve that meets its deadline, a
+bounded overrun on one that does not).  End-to-end chaos scenarios
 through ``AllocationService.handle_batch`` live in
 ``tests/test_fault_injection.py``.
 """
 
+import threading
 import time
 
 import numpy as np
 import pytest
 
-from repro.errors import (
-    ConfigurationError,
-    DeadlineExceeded,
-    RuntimeEngineError,
-)
+from repro.channel import channel_matrix_stack
+from repro.core import AllocationProblem
+from repro.errors import ConfigurationError, DeadlineExceeded
 from repro.experiments.scenarios import fig6_instances
 from repro.runtime import (
     DEGRADATION_CHAIN,
+    SOLVERS,
+    AllocationRequest,
+    AllocationService,
     Deadline,
     FaultPlan,
     MetricsRegistry,
-    PoolOptions,
-    ResilienceOptions,
-    ResiliencePolicy,
     SolverPool,
     SolveTask,
-    channel_matrix_stack,
     degradation_fallbacks,
 )
 from repro.system import simulation_scene
@@ -115,14 +114,6 @@ class TestDeadline:
         with pytest.raises(DeadlineExceeded):
             deadline.require("boundary solve")
 
-    def test_non_finite_default_deadline_rejected(self):
-        with pytest.raises(ConfigurationError):
-            ResilienceOptions(default_deadline_seconds=float("nan"))
-        with pytest.raises(ConfigurationError):
-            ResilienceOptions(default_deadline_seconds=float("inf"))
-        with pytest.raises(ConfigurationError):
-            ResilienceOptions(default_deadline_seconds=0.0)
-
 
 # ----------------------------------------------------------------------
 # Degradation chain
@@ -131,39 +122,20 @@ class TestDeadline:
 
 class TestDegradationChain:
     def test_chain_order(self):
-        assert DEGRADATION_CHAIN == (
-            "optimal",
-            "swing",
-            "binary",
-            "greedy",
-            "heuristic",
-        )
+        assert DEGRADATION_CHAIN == ("optimal", "swing", "heuristic")
+        assert set(SOLVERS) == {"heuristic", "greedy", "optimal", "swing"}
 
     def test_fallbacks_walk_down(self):
-        assert degradation_fallbacks("optimal") == (
-            "swing",
-            "binary",
-            "greedy",
-            "heuristic",
-        )
-        assert degradation_fallbacks("swing") == ("binary", "greedy", "heuristic")
+        assert degradation_fallbacks("optimal") == ("swing", "heuristic")
+        assert degradation_fallbacks("swing") == ("heuristic",)
         assert degradation_fallbacks("greedy") == ("heuristic",)
         assert degradation_fallbacks("heuristic") == ()
 
     def test_timeout_skips_slsqp(self):
-        # binary is a projection of the SLSQP solve that just timed out;
-        # re-running it would burn the remaining budget for nothing.
-        # The combinatorial swing search is not SLSQP-based, so a
-        # timed-out optimal still gets a near-optimal answer first.
-        assert degradation_fallbacks("optimal", timed_out=True) == (
-            "swing",
-            "greedy",
-            "heuristic",
-        )
-        assert degradation_fallbacks("swing", timed_out=True) == (
-            "greedy",
-            "heuristic",
-        )
+        # No fallback re-runs SLSQP: after a timed-out or failed optimal
+        # solve the chain only offers the millisecond-scale tiers.
+        for solver in SOLVERS:
+            assert "optimal" not in degradation_fallbacks(solver)
 
     def test_unknown_solver_falls_to_heuristic(self):
         assert degradation_fallbacks("custom") == ("heuristic",)
@@ -231,17 +203,17 @@ def small_tasks():
 
 
 class TestPoolResilience:
-    def test_hung_retry_is_bounded_without_policy(self, small_tasks):
-        """A hung solve never blocks the batch forever.
+    def test_hung_heuristic_raises_within_its_deadline(self, small_tasks):
+        """A hung solve never blocks the batch past its deadline.
 
-        Every attempt stalls longer than the task timeout; without a
-        resilience policy the pool must fail explicitly instead of
-        hanging.
+        Every attempt stalls far longer than the deadline and the
+        heuristic has nothing to fall back to, so the pool must fail
+        explicitly, once the budget is spent, instead of hanging.
         """
         plan = FaultPlan(
             seed=0,
             slow_solve_probability=1.0,
-            slow_solve_seconds=0.6,
+            slow_solve_seconds=30.0,
             fault_attempts=3,
         )
         tasks = [
@@ -249,47 +221,46 @@ class TestPoolResilience:
                 channel=t.channel,
                 power_budget=t.power_budget,
                 solver="heuristic",
-                deadline=time.monotonic() + 30.0,
+                deadline=time.monotonic() + 0.1,
                 faults=plan,
                 fault_key=i,
             )
             for i, t in enumerate(small_tasks)
         ]
-        pool = SolverPool(PoolOptions(task_timeout=0.1))
         start = time.monotonic()
-        with pytest.raises(RuntimeEngineError):
-            pool.solve_many(tasks)
-        assert time.monotonic() - start < 10.0
+        with pytest.raises(DeadlineExceeded):
+            SolverPool().solve_many(tasks)
+        assert time.monotonic() - start < 1.0
 
-    def test_hung_solve_degrades_with_policy(self, small_tasks):
+    def test_hung_solve_degrades(self, small_tasks):
         plan = FaultPlan(
-            seed=0, slow_solve_probability=1.0, slow_solve_seconds=0.6
+            seed=0, slow_solve_probability=1.0, slow_solve_seconds=30.0
         )
         tasks = [
             SolveTask(
                 channel=t.channel,
                 power_budget=t.power_budget,
                 solver="greedy",
-                deadline=time.monotonic() + 30.0,
+                deadline=time.monotonic() + 0.1,
                 faults=plan,
                 fault_key=i,
             )
             for i, t in enumerate(small_tasks)
         ]
         metrics = MetricsRegistry()
-        policy = ResiliencePolicy(ResilienceOptions(), metrics)
-        pool = SolverPool(
-            PoolOptions(task_timeout=0.1), metrics, resilience=policy
-        )
-        outcomes = pool.solve_outcomes(tasks)
+        start = time.monotonic()
+        outcomes = SolverPool(metrics).solve_outcomes(tasks)
+        assert time.monotonic() - start < 1.0
         assert len(outcomes) == len(tasks)
         for outcome in outcomes:
             assert outcome.degraded
+            assert outcome.deadline_exceeded
             assert outcome.requested_solver == "greedy"
             assert outcome.solver == "heuristic"
             assert outcome.swings.shape == tasks[0].channel.shape
-        snapshot = metrics.snapshot()
-        assert snapshot["counters"]["resilience.degraded_solves"] == len(tasks)
+        counters = metrics.snapshot()["counters"]
+        assert counters["resilience.degraded_solves"] == len(tasks)
+        assert counters["resilience.deadline_expirations"] == len(tasks)
 
     def test_expired_deadline_still_returns_heuristic(self, small_tasks):
         task = SolveTask(
@@ -298,23 +269,99 @@ class TestPoolResilience:
             solver="optimal",
             deadline=time.monotonic() - 1.0,
         )
-        policy = ResiliencePolicy(ResilienceOptions(), MetricsRegistry())
-        pool = SolverPool(resilience=policy)
-        outcome = pool.solve_outcomes([task])[0]
+        outcome = SolverPool().solve_outcomes([task])[0]
         assert outcome.degraded
         assert outcome.deadline_exceeded
         assert outcome.solver == "heuristic"
 
-    def test_degradation_disabled_raises(self, small_tasks):
+
+# ----------------------------------------------------------------------
+# Solver deadline checkpoints
+# ----------------------------------------------------------------------
+
+#: The Fig. 9 budget ladder [W] the checkpoint sweeps walk.
+BUDGETS = (0.6, 1.2, 2.4, 4.8)
+
+
+@pytest.fixture(scope="module")
+def fig6_channels():
+    placements = fig6_instances(instances=6, seed=11)
+    scene = simulation_scene([(float(x), float(y)) for x, y in placements[0]])
+    return scene, placements, channel_matrix_stack(scene, placements)
+
+
+class TestDeadlineCheckpoints:
+    """Checkpoints leave solves that meet their deadline untouched."""
+
+    @pytest.mark.parametrize(
+        "solver, placements",
+        [("heuristic", 6), ("greedy", 4), ("swing", 6), ("optimal", 2)],
+    )
+    def test_far_deadline_is_bit_identical(self, fig6_channels, solver, placements):
+        _, _, stack = fig6_channels
+        pool = SolverPool()
+        for channel in stack[:placements]:
+            for budget in BUDGETS:
+                plain = SolveTask(channel=channel, power_budget=budget, solver=solver)
+                bounded = SolveTask(
+                    channel=channel,
+                    power_budget=budget,
+                    solver=solver,
+                    deadline=time.monotonic() + 3600.0,
+                )
+                [expect, got] = pool.solve_outcomes([plain, bounded])
+                assert not got.degraded and not got.deadline_exceeded
+                np.testing.assert_array_equal(got.swings, expect.swings)
+
+    def test_optimal_request_expiry_is_bounded(self, fig6_channels):
+        scene, placements, _ = fig6_channels
+        service = AllocationService(scene)
+        requests = [
+            AllocationRequest(
+                rx_positions_xy=tuple((float(x), float(y)) for x, y in xy),
+                power_budget=2.4,
+                solver="optimal",
+                deadline_seconds=0.005,
+            )
+            for xy in placements[:3]
+        ]
+        threads = threading.active_count()
+        start = time.monotonic()
+        results = service.handle_batch(requests)
+        elapsed = time.monotonic() - start
+        assert threading.active_count() == threads
+        assert elapsed < 0.005 + 0.2
+        channels = channel_matrix_stack(scene, placements[:3])
+        for channel, result in zip(channels, results):
+            assert result.degraded
+            assert result.deadline_exceeded
+            assert result.solver_used == "heuristic"
+            problem = AllocationProblem(
+                channel=channel,
+                power_budget=2.4,
+                led=scene.led,
+                photodiode=scene.receivers[0].photodiode,
+                noise=service.noise,
+            )
+            assert problem.is_feasible(result.swings)
+
+    def test_timed_out_solve_span_is_flagged(self, fig6_channels):
+        _, _, stack = fig6_channels
         task = SolveTask(
-            channel=small_tasks[0].channel,
-            power_budget=1.2,
-            solver="greedy",
-            deadline=time.monotonic() - 1.0,
+            channel=stack[0],
+            power_budget=2.4,
+            solver="optimal",
+            # Far below the ~230 ms this solve needs, so SLSQP's own
+            # checkpoint (not the pre-solve expiry check) stops it.
+            deadline=time.monotonic() + 0.05,
+            traced=True,
         )
-        policy = ResiliencePolicy(
-            ResilienceOptions(degrade=False), MetricsRegistry()
-        )
-        pool = SolverPool(resilience=policy)
-        with pytest.raises(DeadlineExceeded):
-            pool.solve_outcomes([task])
+        outcome = SolverPool().solve_outcomes([task])[0]
+        assert outcome.deadline_exceeded
+        solves = [span for span in outcome.spans if span["name"] == "solve"]
+        assert [span["attributes"]["solver"] for span in solves] == [
+            "optimal",
+            "heuristic",
+        ]
+        assert solves[0]["attributes"]["timed_out"] is True
+        assert "timed_out" not in solves[1]["attributes"]

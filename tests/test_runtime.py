@@ -789,7 +789,6 @@ class TestBench:
         # The argparse choices are a literal (cli keeps heavy imports
         # lazy); this pins the literal to the actual solver registry.
         assert set(SOLVERS) == {
-            "binary",
             "greedy",
             "heuristic",
             "optimal",
