@@ -9,6 +9,9 @@ Also times the two solvers as separate pytest benchmarks so the timing
 tables show both directly.
 """
 
+import statistics
+import time
+
 import pytest
 
 from repro.channel import channel_matrix
@@ -38,8 +41,15 @@ def test_bench_heuristic_latency(benchmark, problem):
     heuristic = RankingHeuristic(kappa=1.3)
     allocation = benchmark(heuristic.solve, problem)
     assert allocation.is_feasible
+    # Timed here, not read from benchmark.stats: the stats are absent
+    # under --benchmark-disable.
+    seconds = []
+    for _ in range(5):
+        start = time.perf_counter()
+        heuristic.solve(problem)
+        seconds.append(time.perf_counter() - start)
     # Sub-millisecond on any modern machine (paper: 0.07 s in Matlab).
-    assert benchmark.stats["mean"] < 0.05
+    assert statistics.mean(seconds) < 0.05
 
 
 def test_bench_optimal_latency(benchmark, problem):

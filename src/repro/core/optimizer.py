@@ -13,12 +13,13 @@ and the total-power budget (Eq. 7, quadratic).
 
 Acceleration layer (see :mod:`repro.core.reduction`): with
 ``OptimizerOptions(reduce=True)`` the solver first prunes the variable
-set to the SJR-ranked prefix the budget can afford (Insight 1 says the
-rest end at zero anyway), solves the reduced ~K-variable program, and
+set at every budget to the SJR-ranked (TX, RX) prefix the budget can
+afford, at most one ranked pair per TX plus coverage pairs (Insight 1
+says the rest end at zero anyway), solves that reduced program, and
 expands the solution back to (N, M).  A utility check against the
 ranking heuristic -- whose solution lies inside the reduced feasible set
-by construction -- guards the shortcut: if the reduced optimum fails it,
-the solver falls back to the full-dimension program.  Constraints use
+by construction -- guards the shortcut: only if the reduced optimum fails
+it does the solver run the full-dimension program.  Constraints use
 preallocated structured Jacobians (the per-TX bound is a constant
 segment-indicator matrix; the power gradient fills a reusable buffer)
 built once per solve, not per start.  Stage timings and fallback counts

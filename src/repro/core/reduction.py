@@ -138,9 +138,10 @@ def plan_reduction(
     even when its TX ranks below the prefix, so pruning can never strand
     a reachable receiver.
 
-    Returns ``None`` when the prefix covers (almost) every TX -- then the
-    reduced program would be the full program and pruning is pure
-    overhead.
+    Once the budget affords every TX the prefix is the whole ranking:
+    each TX keeps only its ranked RX, N (+ coverage) pairs instead of
+    N*M.  Returns ``None`` only when the kept pairs are all N*M (e.g.
+    M = 1), where the reduced program is the full program.
     """
     if margin < 0:
         raise OptimizationError(f"margin must be >= 0, got {margin}")
@@ -154,8 +155,6 @@ def plan_reduction(
         affordable + min_extra,
         num_rx,
     )
-    if k >= num_tx:
-        return None
     ranked = rank_transmitters(problem.channel, kappa)
     pairs = list(ranked[:k])
 

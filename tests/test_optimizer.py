@@ -140,7 +140,7 @@ class TestWarmSkipDifferential:
     some rung, and at 4 and 6 it never leaves its start and would end
     3-6% below the cold solve.
 
-    Wall time: about 25 s on a 2-vCPU x86 box.
+    Wall time: about 3 s on a 2-vCPU x86 box.
     """
 
     MAX_GAP = 0.018
@@ -218,3 +218,112 @@ class TestWarmSkipDifferential:
         counters = sweep_metrics.snapshot()["counters"]
         assert counters.get("optimizer.starts_skipped", 0) == 0
         assert counters.get("optimizer.skip_fallbacks", 0) == 0
+
+
+class TestPruningDifferential:
+    """SJR pruning against the full program, over a seeded sweep.
+
+    Insight 1 prunes the program to each TX's SJR-ranked pair at every
+    budget; on the 36x4 setup that is 36 of 144 variables once the
+    budget affords every TX.  The slow reference is the full program
+    (``reduce=False``) with the same ``restarts`` and ``seed``, solved
+    cold at each budget.  Six placements of seed 0's Fig. 6 draw run the
+    coarse Fig. 9 rungs at or above 1.3 W, where the plan keeps one pair
+    per TX; each pruned solve -- cold, and down the top-down ``sweep``
+    -- must be feasible, at most 1.8% below the reference, and never
+    fall back to the full program.  The swing search gets the same gap
+    check against its own unpruned run.
+
+    Wall time: about 12 s on a 2-vCPU x86 box.
+    """
+
+    MAX_GAP = 0.018
+    TOLERANCE = 1e-6
+    PLACEMENTS = 6
+    _assert_feasible = TestWarmSkipDifferential._assert_feasible
+
+    @pytest.fixture(scope="class")
+    def ladders(self):
+        """Per placement: the top-down rungs and their references."""
+        from dataclasses import replace
+
+        from repro.channel import channel_matrix
+        from repro.experiments.config import default_config
+        from repro.experiments.scenarios import fig6_instances
+
+        cfg = default_config()
+        budgets = sorted(
+            (b for b in cfg.coarse_budgets(12) if b >= 1.3), reverse=True
+        )
+        options = OptimizerOptions(restarts=0, seed=cfg.seed, reduce=True)
+        full = replace(options, reduce=False)
+        ladders = []
+        for placement in fig6_instances(instances=self.PLACEMENTS, seed=0):
+            scene = cfg.simulation_scene_at(
+                tuple((float(x), float(y)) for x, y in placement)
+            )
+            problem = AllocationProblem(
+                channel=channel_matrix(scene),
+                power_budget=budgets[0],
+                led=cfg.led,
+                photodiode=cfg.photodiode,
+                noise=cfg.noise,
+            )
+            rungs = [problem.with_budget(b) for b in budgets]
+            references = [solve_optimal(rung, full) for rung in rungs]
+            ladders.append((rungs, references))
+        return options, ladders
+
+    def _assert_within_gap(self, allocation, reference, label):
+        self._assert_feasible(allocation)
+        gap = (reference.utility - allocation.utility) / abs(reference.utility)
+        assert gap <= self.MAX_GAP, (
+            f"budget {allocation.problem.power_budget:.3f} W: {label} "
+            f"{gap:.2%} below the unpruned solve"
+        )
+
+    def test_cold_pruned_solves_match_full_program(self, ladders):
+        from repro.runtime import MetricsRegistry
+
+        options, ladders = ladders
+        metrics = MetricsRegistry()
+        for rungs, references in ladders:
+            for rung, reference in zip(rungs, references):
+                pruned = ContinuousOptimizer(options, metrics=metrics).solve(
+                    rung
+                )
+                assert pruned.solver == "slsqp-reduced"
+                self._assert_within_gap(pruned, reference, "cold")
+        counters = metrics.snapshot()["counters"]
+        assert counters["optimizer.reduced_solves"] == sum(
+            len(rungs) for rungs, _ in ladders
+        )
+        assert counters.get("optimizer.fallbacks", 0) == 0
+
+    def test_top_down_pruned_sweep_matches_full_program(self, ladders):
+        from repro.runtime import MetricsRegistry
+
+        options, ladders = ladders
+        metrics = MetricsRegistry()
+        for rungs, references in ladders:
+            sweep = ContinuousOptimizer(options, metrics=metrics).sweep(
+                rungs[0], [rung.power_budget for rung in rungs]
+            )
+            for swept, reference in zip(sweep, references):
+                assert swept.solver == "slsqp-reduced"
+                self._assert_within_gap(swept, reference, "sweep")
+        assert metrics.snapshot()["counters"].get("optimizer.fallbacks", 0) == 0
+
+    def test_pruned_swing_search_matches_unpruned(self, ladders):
+        from repro.core import SwingSearchOptions, solve_swing
+
+        options, ladders = ladders
+        for rungs, _ in ladders:
+            for rung in rungs:
+                pruned = solve_swing(
+                    rung, SwingSearchOptions(seed=options.seed, reduce=True)
+                )
+                unpruned = solve_swing(
+                    rung, SwingSearchOptions(seed=options.seed, reduce=False)
+                )
+                self._assert_within_gap(pruned, unpruned, "swing search")

@@ -117,9 +117,31 @@ class TestPlanReduction:
             if np.any(fig7_problem.channel[:, rx] > 0.0):
                 assert plan.covers_receiver(rx)
 
-    def test_none_when_budget_affords_everything(self, fig7_problem):
-        # A huge budget affords every TX -> pruning would keep them all.
-        assert plan_reduction(fig7_problem.with_budget(1e6)) is None
+    def test_budget_affording_every_tx_keeps_one_pair_per_tx(
+        self, fig7_problem
+    ):
+        from repro.core import rank_transmitters
+
+        # A huge budget affords every TX, yet each keeps only its ranked
+        # RX: Insight 1's one-user-per-LED structure, not all N*M pairs.
+        rich = fig7_problem.with_budget(1e6)
+        plan = plan_reduction(rich)
+        assert plan is not None
+        num_tx, num_rx = rich.num_transmitters, rich.num_receivers
+        assert plan.num_pairs <= num_tx + num_rx < num_tx * num_rx
+        assert plan.num_active == num_tx
+        assert set(rank_transmitters(rich.channel)) <= set(plan.pairs)
+
+    def test_none_when_plan_covers_every_pair(self, fig7_problem):
+        # With one receiver every TX's ranked pair is the whole program.
+        single = AllocationProblem(
+            channel=fig7_problem.channel[:, :1],
+            power_budget=1e6,
+            led=fig7_problem.led,
+            photodiode=fig7_problem.photodiode,
+            noise=fig7_problem.noise,
+        )
+        assert plan_reduction(single) is None
 
     def test_pairs_follow_sjr_prefix(self, fig7_problem):
         from repro.core import rank_transmitters

@@ -351,8 +351,10 @@ class TestDeadlineCheckpoints:
             channel=stack[0],
             power_budget=2.4,
             solver="optimal",
-            # Far below the ~230 ms this solve needs, so SLSQP's own
-            # checkpoint (not the pre-solve expiry check) stops it.
+            # Far below the ~230 ms the full 144-variable program needs,
+            # so SLSQP's own checkpoint (not the pre-solve expiry check)
+            # stops it.  The pruned program would finish inside 50 ms.
+            reduce=False,
             deadline=time.monotonic() + 0.05,
             traced=True,
         )
