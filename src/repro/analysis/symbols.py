@@ -33,12 +33,11 @@ __all__ = [
 ]
 
 #: Instrument-constructor attributes recognized on a registry/metrics
-#: object; ``timer`` is a context-manager front for a histogram.
+#: object.
 _INSTRUMENT_ATTRS = {
     "counter": "counter",
     "gauge": "gauge",
     "histogram": "histogram",
-    "timer": "histogram",
 }
 
 #: Keyword arguments that configure an instrument rather than label it.
@@ -140,13 +139,10 @@ def _variable_accesses(scope: ast.AST, variable: str) -> FrozenSet[str]:
 
 def _classify_access(
     call: ast.Call,
-    kind_attr: str,
     parents: Dict[ast.AST, ast.AST],
     tree: ast.AST,
 ) -> str:
     """write / read / register for one instrument-constructor call."""
-    if kind_attr == "timer":
-        return "write"
     parent = parents.get(call)
     if isinstance(parent, ast.Attribute):
         if parent.attr in _WRITE_ATTRS:
@@ -154,8 +150,6 @@ def _classify_access(
         if parent.attr in _READ_ATTRS:
             return "read"
         return "register"
-    if isinstance(parent, ast.withitem):
-        return "write"
     if isinstance(parent, ast.Assign) and len(parent.targets) == 1:
         target = parent.targets[0]
         if isinstance(target, ast.Name):
@@ -222,7 +216,7 @@ def collect_symbols(module: str, tree: ast.AST) -> FileSymbols:
             MetricSite(
                 name=first.value,
                 kind=kind,
-                access=_classify_access(node, func.attr, parents, tree),
+                access=_classify_access(node, parents, tree),
                 labels=labels,
                 line=node.lineno,
             )

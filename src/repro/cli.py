@@ -292,12 +292,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "trace to find the req/s knee",
     )
     replay_parser.add_argument(
-        "--attribution",
-        action="store_true",
-        help="record per-stage self times in the report (enables "
-        "tracing)",
-    )
-    replay_parser.add_argument(
         "--trace",
         default=None,
         metavar="PATH",
@@ -470,8 +464,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             )
             tracer = None
             if (
-                args.attribution
-                or args.exemplars
+                args.exemplars
                 or args.trace is not None
                 or args.trace_events is not None
             ):
@@ -552,12 +545,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             )
         for line in report.lines():
             print(line)
-        dropped = target_tracer.dropped_spans
-        if dropped:
-            print(
-                f"WARNING: {dropped} spans dropped (buffer full) -- stage "
-                "self times are incomplete; raise TracingOptions.max_spans"
-            )
         if baseline is not None:
             print()
             for line in baseline.lines():

@@ -20,7 +20,9 @@
   being served late, and a request found already expired at dispatch
   time is late-shed rather than burning a solve it cannot use.
 
-Tracing: with a tracer attached, every admitted request gets a
+Timing: routing and queue wait are ``route`` and ``queue`` stages
+(:class:`repro.tracecontext.stage`) observed into the controller's
+registry.  With a tracer attached, every admitted request also gets a
 ``frontdoor`` root span with ``route`` and ``queue`` children, and the
 shard's own ``request``/``solve`` spans graft under it (via the
 ``trace_parents`` hook on ``handle_batch``) so one trace id covers
@@ -45,7 +47,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 from ..errors import ClusterError, RequestShedError
 from ..runtime.resilience import Deadline
 from ..runtime.service import AllocationRequest, AllocationResult
-from ..tracecontext import Span
+from ..tracecontext import Span, add_span_attributes, stage
 from .controller import ClusterController, Shard
 
 __all__ = ["FrontendOptions", "ClusterFrontend"]
@@ -108,6 +110,8 @@ class _Pending:
 
     request: AllocationRequest
     future: "asyncio.Future[AllocationResult]"
+    #: resolved, with the batch size, when a worker drains the request
+    dequeued: "asyncio.Future[int]"
     deadline: Deadline
     enqueued: float
     root: Optional[Span] = None
@@ -130,6 +134,12 @@ class ClusterFrontend:
         self.options = options if options is not None else FrontendOptions()
         self.metrics = controller.metrics
         self.tracer = controller.tracer
+        self._route_stage = self.metrics.histogram(
+            "stage.self_seconds", stage="route"
+        )
+        self._queue_stage = self.metrics.histogram(
+            "stage.self_seconds", stage="queue"
+        )
         self._queues: Dict[str, "asyncio.Queue[_QueueItem]"] = {}
         self._workers: Dict[str, "asyncio.Task[None]"] = {}
         self._inflight: Dict[CoalesceKey, "asyncio.Future[AllocationResult]"]
@@ -253,35 +263,27 @@ class ClusterFrontend:
                 self.metrics.counter("cluster.coalesced").increment()
                 return await asyncio.shield(inflight)
 
-        route_start = time.perf_counter()
-        # Routing is a pure consistent-hash shard pick and takes no
-        # budget by design: admission control right below consumes the
-        # deadline against the routed shard's queue estimate.
-        shard = self.controller.route(fingerprint)  # repro: allow[R7]
-        route_end = time.perf_counter()
-        queue = self._queues.get(shard.shard_id)
-        if queue is None:
-            raise ClusterError(
-                f"shard {shard.shard_id!r} joined after the frontend "
-                "started; restart the frontend to serve it"
-            )
-
-        depth = queue.qsize()
         root: Optional[Span] = None
         if self.tracer.enabled:
-            root = self.tracer.start_trace(
-                "frontdoor",
-                shard=shard.shard_id,
-                fingerprint=fingerprint,
-            )
-            if root is not None:
-                self.tracer.record_span(
-                    "route",
-                    parent=root,
-                    start=route_start,
-                    end=route_end,
-                    depth=depth,
+            root = self.tracer.start_trace("frontdoor", fingerprint=fingerprint)
+        parents = (root,) if root is not None else None
+        with stage(
+            "route", self._route_stage, parents=parents, tracer=self.tracer
+        ):
+            # Routing is a pure consistent-hash shard pick and takes no
+            # budget by design: admission control right below consumes
+            # the deadline against the routed shard's queue estimate.
+            shard = self.controller.route(fingerprint)  # repro: allow[R7]
+            queue = self._queues.get(shard.shard_id)
+            if queue is None:
+                raise ClusterError(
+                    f"shard {shard.shard_id!r} joined after the frontend "
+                    "started; restart the frontend to serve it"
                 )
+            depth = queue.qsize()
+            add_span_attributes(depth=depth)
+        if root is not None:
+            root.set_attribute("shard", shard.shard_id)
 
         if depth >= self.options.max_queue_depth:
             self._count_shed("capacity")
@@ -324,6 +326,7 @@ class ClusterFrontend:
         pending = _Pending(
             request=request,
             future=future,
+            dequeued=loop.create_future(),
             deadline=deadline,
             enqueued=time.perf_counter(),
             root=root,
@@ -334,7 +337,11 @@ class ClusterFrontend:
             future.add_done_callback(
                 lambda fut, key=key: self._release_inflight(key, fut)
             )
-        queue.put_nowait(pending)
+        with stage(
+            "queue", self._queue_stage, parents=parents, tracer=self.tracer
+        ):
+            queue.put_nowait(pending)
+            add_span_attributes(batch_size=await pending.dequeued)
         return await asyncio.shield(future)
 
     async def submit_many(
@@ -402,17 +409,10 @@ class ClusterFrontend:
         shard: Shard,
         batch: List[_Pending],
     ) -> None:
-        dequeued = time.perf_counter()
         live: List[_Pending] = []
         for pending in batch:
-            if pending.root is not None:
-                self.tracer.record_span(
-                    "queue",
-                    parent=pending.root,
-                    start=pending.enqueued,
-                    end=dequeued,
-                    batch_size=len(batch),
-                )
+            if not pending.dequeued.done():
+                pending.dequeued.set_result(len(batch))
             if pending.deadline.expired:
                 self._count_shed("late")
                 self._finish_shed_span(pending.root, "late")

@@ -22,8 +22,9 @@ by construction -- guards the shortcut: only if the reduced optimum fails
 it does the solver run the full-dimension program.  Constraints use
 preallocated structured Jacobians (the per-TX bound is a constant
 segment-indicator matrix; the power gradient fills a reusable buffer)
-built once per solve, not per start.  Stage timings and fallback counts
-flow into an optional metrics registry
+built once per solve, not per start.  The prune / reduced / full
+sub-stages are timed by :class:`repro.tracecontext.stage`; their self
+times and the fallback counts flow into an optional metrics registry
 (:class:`repro.runtime.metrics.MetricsRegistry`-compatible).
 """
 
@@ -31,15 +32,14 @@ from __future__ import annotations
 
 import math
 import time
-from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
-from typing import Any, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 from scipy import optimize
 
 from ..errors import DeadlineExceeded, OptimizationError
-from ..tracecontext import add_span_attributes, current_span
+from ..tracecontext import add_span_attributes, current_span, stage
 from .allocation import Allocation
 from .heuristic import RankingHeuristic
 from .problem import UTILITY_FLOOR, AllocationProblem
@@ -237,10 +237,11 @@ class ContinuousOptimizer:
     """SLSQP solver for the Eq. 5-7 program with analytic gradients.
 
     *metrics* is an optional :class:`repro.runtime.metrics.MetricsRegistry`
-    (or any object with the same ``timer``/``counter``/``gauge`` duck
-    type); when provided, per-stage timings (prune / reduced solve /
-    expand / full solve) and reduction/fallback counts are recorded under
-    ``optimizer.*`` names.
+    (or any object with the same ``histogram``/``counter``/``gauge`` duck
+    type); when provided, the self times of the ``prune`` /
+    ``reduced_solve`` / ``full_solve`` stages land in its
+    ``stage.self_seconds`` histogram and reduction/fallback counts
+    under ``optimizer.*`` names.
     """
 
     def __init__(
@@ -250,6 +251,17 @@ class ContinuousOptimizer:
     ) -> None:
         self.options = options if options is not None else OptimizerOptions()
         self.metrics = metrics
+        self._stages: Dict[str, Any] = (
+            {
+                key: metrics.histogram("stage.self_seconds", stage=key)
+                for key in ("prune", "reduced_solve", "full_solve")
+            }
+            if metrics is not None
+            else {}
+        )
+        # SLSQP introspection for the active solve span (None: untraced).
+        self._iterations = 0
+        self._trajectory: Optional[List[float]] = None
 
     # ------------------------------------------------------------------
 
@@ -309,9 +321,6 @@ class ContinuousOptimizer:
     # Internals
     # ------------------------------------------------------------------
 
-    def _timer(self, name: str):
-        return self.metrics.timer(name) if self.metrics is not None else nullcontext()
-
     def _count(self, name: str) -> None:
         if self.metrics is not None:
             self.metrics.counter(name).increment()
@@ -322,9 +331,29 @@ class ContinuousOptimizer:
         options: OptimizerOptions,
         skip_dominated: bool = True,
     ) -> Allocation:
+        # Iterations and the objective trajectory accrue over every
+        # descent of the solve and land on the enclosing solve span,
+        # not on the sub-stage that ran them.
+        self._iterations = 0
+        self._trajectory = [] if current_span() is not None else None
+        try:
+            return self._solve_stages(problem, options, skip_dominated)
+        finally:
+            if self._trajectory is not None:
+                add_span_attributes(
+                    slsqp_iterations=self._iterations,
+                    objective_trajectory=self._trajectory[-32:],
+                )
+
+    def _solve_stages(
+        self,
+        problem: AllocationProblem,
+        options: OptimizerOptions,
+        skip_dominated: bool,
+    ) -> Allocation:
         heuristic = RankingHeuristic().solve(problem)
         if options.reduce:
-            with self._timer("optimizer.prune_seconds"):
+            with stage("prune", self._stages.get("prune")):
                 plan = plan_reduction(
                     problem,
                     margin=options.reduction_margin,
@@ -340,7 +369,7 @@ class ContinuousOptimizer:
                     self.metrics.histogram("optimizer.reduction_k").observe(
                         float(plan.num_pairs)
                     )
-                with self._timer("optimizer.reduced_solve_seconds"):
+                with stage("reduced_solve", self._stages.get("reduced_solve")):
                     best = self._best_over_starts(
                         problem, options, heuristic, plan, skip_dominated
                     )
@@ -354,7 +383,7 @@ class ContinuousOptimizer:
                 # feasible set, so landing below it means the reduced
                 # solve failed -- run the full program.
                 self._count("optimizer.fallbacks")
-        with self._timer("optimizer.full_solve_seconds"):
+        with stage("full_solve", self._stages.get("full_solve")):
             best = self._best_over_starts(
                 problem, options, heuristic, None, skip_dominated
             )
@@ -517,8 +546,9 @@ class ContinuousOptimizer:
         deadline = options.deadline
         # Objective trajectory only accrues when a trace span is active
         # (the list append would be waste on the untraced hot path).
-        span = current_span()
-        trajectory: Optional[List[float]] = [] if span is not None else None
+        trajectory: Optional[List[float]] = (
+            [] if self._trajectory is not None else None
+        )
 
         def objective(x: np.ndarray) -> Tuple[float, np.ndarray]:
             # The solve's one deadline checkpoint: evaluations are at
@@ -569,18 +599,13 @@ class ContinuousOptimizer:
             self.metrics.histogram("optimizer.slsqp_iterations").observe(
                 float(iterations)
             )
-        if span is not None and trajectory is not None:
+        if trajectory is not None and self._trajectory is not None:
             # Accumulate across the multi-start loop: total iteration
-            # count plus a downsampled (<= 32 points) objective
-            # trajectory over all evaluations in this solve.
-            total = int(span.attributes.get("slsqp_iterations", 0))
-            trace = list(span.attributes.get("objective_trajectory", ()))
+            # count plus a downsampled objective trajectory over all
+            # evaluations in this solve (the last 32 points are kept).
+            self._iterations += iterations
             step = max(1, -(-len(trajectory) // 16))
-            trace.extend(round(v, 6) for v in trajectory[::step])
-            add_span_attributes(
-                slsqp_iterations=total + iterations,
-                objective_trajectory=trace[-32:],
-            )
+            self._trajectory.extend(round(v, 6) for v in trajectory[::step])
         reduced = np.clip(result.x, 0.0, 1.0)
         candidate = support.expand(reduced, num_tx, num_rx) * max_swing
         # SLSQP can end a hair outside the power budget; pull it back in.

@@ -46,16 +46,15 @@ from __future__ import annotations
 
 import hashlib
 import time
-from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import Any, ContextManager, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from .. import constants
 from ..channel.stacks import utility_from_amplitude_components
 from ..errors import DeadlineExceeded, OptimizationError
-from ..tracecontext import add_span_attributes, current_span
+from ..tracecontext import add_span_attributes, current_span, stage
 from .allocation import Allocation, Assignment, binary_allocation
 from .heuristic import RankingHeuristic
 from .problem import UTILITY_FLOOR, AllocationProblem
@@ -176,8 +175,10 @@ class SwingSearchSolver:
 
     *metrics* is an optional
     :class:`repro.runtime.metrics.MetricsRegistry`-compatible object;
-    per-stage timings land under ``optimizer.swing.*_seconds`` and the
-    accepted-move/iteration counters under ``optimizer.swing.*``.  When
+    the self times of the ``swing_seed`` / ``swing_repair`` /
+    ``swing_search`` stages land in its ``stage.self_seconds``
+    histogram and the accepted-move/iteration counters under
+    ``optimizer.swing.*``.  When
     a trace span is active the solve annotates it with iteration/flip
     counts and a downsampled objective trajectory, mirroring the SLSQP
     tier's solve-span attributes.
@@ -190,11 +191,16 @@ class SwingSearchSolver:
     ) -> None:
         self.options = options if options is not None else SwingSearchOptions()
         self.metrics = metrics
+        self._stages: Dict[str, Any] = (
+            {
+                key: metrics.histogram("stage.self_seconds", stage=key)
+                for key in ("swing_seed", "swing_repair", "swing_search")
+            }
+            if metrics is not None
+            else {}
+        )
         self._noise_power: float = 0.0
         self._bandwidth: float = 0.0
-
-    def _timer(self, name: str) -> ContextManager[None]:
-        return self.metrics.timer(name) if self.metrics is not None else nullcontext()
 
     def _count(self, name: str, amount: int = 1) -> None:
         if self.metrics is not None:
@@ -215,7 +221,7 @@ class SwingSearchSolver:
             # links costs power for floored rates).
             empty = binary_allocation(problem, (), solver="swing-search")
             return self._finish(problem, empty, empty, 0, 0, 0, [])
-        with self._timer("optimizer.swing.seed_seconds"):
+        with stage("swing_seed", self._stages.get("swing_seed")):
             seed_allocation = RankingHeuristic(kappa=options.kappa).solve(problem)
 
         gains = self._amplitude_gains(problem)
@@ -230,13 +236,13 @@ class SwingSearchSolver:
             for tx, rx in warm_pairs:
                 warm_state.switch_on(tx, rx)
                 allowed[tx, rx] = True
-            with self._timer("optimizer.swing.repair_seconds"):
+            with stage("swing_repair", self._stages.get("swing_repair")):
                 self._repair(warm_state, capacity)
             if self._utility(problem, warm_state) > self._utility(problem, state):
                 self._count("optimizer.swing.warm_seeds")
                 state = warm_state
 
-        with self._timer("optimizer.swing.search_seconds"):
+        with stage("swing_search", self._stages.get("swing_search")):
             iterations, flips, swaps, trajectory = self._ascend(
                 problem, state, allowed, capacity
             )

@@ -3,7 +3,8 @@
 ``repro.obs`` sits at the very top of the stack -- above the serving
 layers *and* the scenario catalog: it records scenario workloads into
 committable JSONL traces, replays them against the single service or
-the sharded cluster, folds span trees into latency attribution, tracks
+the sharded cluster, reads the stage histograms into per-stage self
+times, tracks
 rolling SLO compliance, and appends each replay's :class:`PerfReport` to
 the committed perf-trajectory ledger the CI gate diffs.  Nothing below
 this package imports it (rule R1); the serving layers see obs only
@@ -11,7 +12,7 @@ through duck-typed protocols (:class:`repro.runtime.service.SLOObserver`)
 and plain data.
 """
 
-from .attribution import attribution_table, render_attribution
+from .attribution import attribution_table, render_attribution, stage_totals
 from .ledger import (
     LEDGER_VERSION,
     P95_TOLERANCE,
@@ -48,6 +49,7 @@ from .trace import (
 __all__ = [
     "attribution_table",
     "render_attribution",
+    "stage_totals",
     "LEDGER_VERSION",
     "P95_TOLERANCE",
     "THROUGHPUT_TOLERANCE",

@@ -1,89 +1,82 @@
-"""Per-stage latency attribution from recorded span trees.
+"""Per-stage self time, read from the stage histograms.
 
-Answers "which stage actually *spent* the time" rather than "which
-stage's window covered it": a parent span's duration includes its
-children, so a plain per-name sum double-counts every nesting level
-(``request`` covers ``channel``/``allocation``/``throughput``;
-``allocation`` covers the re-attached ``solve``).  The fold here
-computes *self time* -- a span's duration minus its children's -- and
-aggregates it per stage, where a stage is the span name refined by the
-attributes that change its cost profile: the cache outcome for
-``allocation`` spans and the solver tier for ``solve`` spans.
-``allocation[hit]`` vs ``allocation[computed]`` vs ``solve[swing]`` are
-different rows because they are different costs.
+Every timed stage of the serving path -- the front door's ``route`` and
+``queue``, ``channel[...]``, ``allocation[...]``, ``cache``,
+``solve[<tier>]``, ``throughput`` and the solver sub-stages -- is one
+:class:`repro.tracecontext.stage`.  A stage always observes its *self*
+time (its own time minus that of the stages nested in it) into the
+``stage.self_seconds`` histogram under its ``stage`` label, traced or
+not.  This module reads those histograms back as a table: the
+per-stage delta between two readings, so a replay reports what *it*
+spent, sorted by self time -- the top row is where the latency went.
 
-The input is whatever :meth:`repro.runtime.tracing.Tracer.finished_spans`
-returns; with tracing disabled there are no spans and the table is
-empty -- attribution is strictly opt-in and costs nothing when off.
+No tracer and no span buffer are involved, so nothing can truncate the
+table.  A batched stage window is observed once, however many requests
+share it: the table is wall time, not time weighted by request.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
-__all__ = ["attribution_table", "render_attribution"]
+__all__ = [
+    "STAGE_HISTOGRAM",
+    "attribution_table",
+    "render_attribution",
+    "stage_totals",
+]
 
+#: The histogram every :class:`repro.tracecontext.stage` observes into.
+STAGE_HISTOGRAM = "stage.self_seconds"
 
-#: Attribute refining a span name into a cost-distinct stage, per name.
-_REFINEMENTS = {
-    "allocation": "cache_outcome",
-    "solve": "solver",
-}
-
-
-def _stage_key(name: str, attributes: Dict[str, Any]) -> str:
-    refinement = _REFINEMENTS.get(name)
-    if refinement is None:
-        return name
-    value = attributes.get(refinement)
-    return f"{name}[{value}]" if value is not None else name
+#: Stage key -> (observations, cumulative self seconds).
+StageTotals = Dict[str, Tuple[int, float]]
 
 
-def attribution_table(spans: Sequence[Any]) -> List[Dict[str, Any]]:
-    """Fold *spans* into per-stage self/total time rows.
+def stage_totals(registries: Iterable[Any]) -> StageTotals:
+    """Cumulative per-stage totals, summed over *registries*.
 
-    Each row carries the stage key, span count, total time (sum of
-    durations), child time, and self time (total minus children,
-    clamped at zero per span -- batched stages bracket one shared
-    window into several traces, so a child can nominally outlast the
-    slice of its parent and the clamp keeps rows non-negative).  Rows
-    are sorted by descending self time: the top row is where the
-    latency actually went.
-
-    *spans* are :class:`repro.tracecontext.Span` objects (anything with
-    ``name`` / ``span_id`` / ``parent_id`` / ``duration`` /
-    ``attributes`` duck-types).  An empty input yields an empty table.
+    *registries* are :class:`repro.runtime.metrics.MetricsRegistry`
+    objects (anything with ``histogram_sums`` duck-types).  Stages
+    registered but never observed are left out.
     """
-    child_time: Dict[Optional[str], float] = {}
-    for span in spans:
-        if span.parent_id is not None:
-            child_time[span.parent_id] = (
-                child_time.get(span.parent_id, 0.0) + span.duration
-            )
-    stages: Dict[str, Dict[str, float]] = {}
-    for span in spans:
-        key = _stage_key(span.name, span.attributes)
-        row = stages.setdefault(
-            key, {"count": 0.0, "total": 0.0, "children": 0.0, "self": 0.0}
-        )
-        children = child_time.get(span.span_id, 0.0)
-        row["count"] += 1
-        row["total"] += span.duration
-        row["children"] += children
-        row["self"] += max(0.0, span.duration - children)
-    total_self = sum(row["self"] for row in stages.values())
+    totals: StageTotals = {}
+    for registry in registries:
+        for labels, (count, seconds) in registry.histogram_sums(
+            STAGE_HISTOGRAM
+        ).items():
+            if not count:
+                continue
+            key = dict(labels).get("stage", "")
+            prior_count, prior_seconds = totals.get(key, (0, 0.0))
+            totals[key] = (prior_count + count, prior_seconds + seconds)
+    return totals
+
+
+def attribution_table(
+    after: StageTotals, before: Optional[StageTotals] = None
+) -> List[Dict[str, Any]]:
+    """Per-stage rows for the observations between *before* and *after*.
+
+    Each row carries the stage key, its observation count, its self
+    time and its share of the total self time.  Stages without a new
+    observation are left out; rows are sorted by descending self time.
+    """
+    before = before or {}
+    deltas: Dict[str, Tuple[int, float]] = {}
+    for key, (count, seconds) in after.items():
+        prior_count, prior_seconds = before.get(key, (0, 0.0))
+        if count > prior_count:
+            deltas[key] = (count - prior_count, seconds - prior_seconds)
+    total = sum(seconds for _, seconds in deltas.values())
     table = [
         {
             "stage": key,
-            "count": int(row["count"]),
-            "total_ms": 1e3 * row["total"],
-            "child_ms": 1e3 * row["children"],
-            "self_ms": 1e3 * row["self"],
-            "self_fraction": (
-                row["self"] / total_self if total_self > 0 else 0.0
-            ),
+            "count": count,
+            "self_ms": 1e3 * seconds,
+            "self_fraction": seconds / total if total > 0 else 0.0,
         }
-        for key, row in stages.items()
+        for key, (count, seconds) in deltas.items()
     ]
     table.sort(key=lambda row: (-row["self_ms"], row["stage"]))
     return table
@@ -93,14 +86,10 @@ def render_attribution(table: Sequence[Dict[str, Any]]) -> List[str]:
     """The attribution table as aligned text lines (empty -> empty)."""
     if not table:
         return []
-    lines = [
-        f"{'stage':<24} {'count':>7} {'self ms':>10} "
-        f"{'child ms':>10} {'total ms':>10} {'self %':>7}"
-    ]
+    lines = [f"{'stage':<24} {'count':>7} {'self ms':>10} {'self %':>7}"]
     for row in table:
         lines.append(
             f"{row['stage']:<24} {row['count']:>7d} "
-            f"{row['self_ms']:>10.3f} {row['child_ms']:>10.3f} "
-            f"{row['total_ms']:>10.3f} {100 * row['self_fraction']:>6.1f}%"
+            f"{row['self_ms']:>10.3f} {100 * row['self_fraction']:>6.1f}%"
         )
     return lines

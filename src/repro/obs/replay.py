@@ -61,7 +61,7 @@ from ..runtime.service import (
     SLOObserver,
 )
 from ..runtime.tracing import Tracer
-from .attribution import attribution_table
+from .attribution import StageTotals, attribution_table, stage_totals
 from .ledger import PerfReport, environment_fingerprint
 from .trace import TraceReplayer
 
@@ -159,15 +159,6 @@ def _validate_mode(mode: str, speed: float, rate: float) -> None:
         raise ConfigurationError(f"fixed replay needs rate > 0, got {rate}")
 
 
-def _stage_self_times(tracer: Tracer) -> Dict[str, float]:
-    if not tracer.enabled:
-        return {}
-    return {
-        row["stage"]: row["self_ms"]
-        for row in attribution_table(tracer.finished_spans())
-    }
-
-
 def _counters(registries: Iterable[MetricsRegistry]) -> Dict[str, float]:
     """Every counter of *registries*, summed by rendered key."""
     totals: Dict[str, float] = {}
@@ -213,10 +204,15 @@ def _report(
     duration: float,
     latencies_ms: Sequence[float],
     services: Sequence[AllocationService],
-    registries: Iterable[MetricsRegistry],
-    tracer: Tracer,
+    registries: Sequence[MetricsRegistry],
+    stages_before: StageTotals,
     slo: Optional[SLOObserver],
 ) -> PerfReport:
+    """The run as one :class:`PerfReport`.
+
+    Stage self times are the stage-histogram delta since
+    *stages_before*, so a reused service reports only this run.
+    """
     served = len(results)
     degraded = sum(1 for result in results if result.degraded)
     total = served + shed
@@ -243,7 +239,12 @@ def _report(
         degraded_rate=degraded / served if served else 0.0,
         channel_hit_rate=channel_hit_rate,
         allocation_hit_rate=allocation_hit_rate,
-        stage_self_ms=_stage_self_times(tracer),
+        stage_self_ms={
+            row["stage"]: row["self_ms"]
+            for row in attribution_table(
+                stage_totals(registries), stages_before
+            )
+        },
         slo=dict(slo.snapshot()) if slo is not None else {},
         counters=_counters(registries),
         environment=environment_fingerprint(),
@@ -276,6 +277,7 @@ def replay_service(
         service = service_for(replayer, cache_capacity, tracer)
     if slo is not None:
         service.attach_slo(slo)
+    stages_before = stage_totals([service.metrics])
     records = replayer.trace.records
     first_arrival = records[0].arrival_seconds
     results: List[AllocationResult] = []
@@ -313,7 +315,7 @@ def replay_service(
         latencies_ms=latencies,
         services=[service],
         registries=[service.metrics],
-        tracer=service.tracer,
+        stages_before=stages_before,
         slo=slo,
     )
 
@@ -329,6 +331,7 @@ def replay_sequential(
     two compare directly.
     """
     service = service_for(replayer, cache_capacity)
+    stages_before = stage_totals([service.metrics])
     results: List[AllocationResult] = []
     sojourns: List[float] = []
     start = time.perf_counter()
@@ -347,7 +350,7 @@ def replay_sequential(
         latencies_ms=_sojourn_percentiles_ms(sojourns),
         services=[service],
         registries=[service.metrics],
-        tracer=service.tracer,
+        stages_before=stages_before,
         slo=None,
     )
 
@@ -420,6 +423,7 @@ def replay_cluster(
         for shard in controller.shards():
             shard.service.attach_slo(slo)
     workload = [request for _, request in replayer.timed_requests()]
+    stages_before = stage_totals(controller.registries().values())
 
     async def _run() -> Tuple[float, List[float], List[AllocationResult], int]:
         options = FrontendOptions(batch_max=batch_max)
@@ -438,8 +442,8 @@ def replay_cluster(
         duration=duration,
         latencies_ms=_sojourn_percentiles_ms(sojourns),
         services=services,
-        registries=controller.registries().values(),
-        tracer=controller.tracer,
+        registries=list(controller.registries().values()),
+        stages_before=stages_before,
         slo=slo,
     )
 

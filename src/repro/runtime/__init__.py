@@ -60,11 +60,10 @@ from .service import (
     placement_fingerprint,
 )
 from .tracing import (
-    SpanRecorder,
     Tracer,
     TracingOptions,
 )
-from ..tracecontext import Span, add_span_attributes, current_span
+from ..tracecontext import Span, add_span_attributes, current_span, stage
 
 __all__ = [
     "channel_matrix_stack",
@@ -94,10 +93,10 @@ __all__ = [
     "AllocationService",
     "ServiceOptions",
     "placement_fingerprint",
-    "SpanRecorder",
     "Tracer",
     "TracingOptions",
     "Span",
     "add_span_attributes",
     "current_span",
+    "stage",
 ]

@@ -18,11 +18,9 @@ series, reservoir-only histograms expose quantile summaries).
 
 from __future__ import annotations
 
-import time
 from bisect import bisect_left
 from collections import deque
-from contextlib import contextmanager
-from typing import Any, Deque, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -263,7 +261,7 @@ class Histogram:
         return summary
 
 
-#: Default latency buckets [s] for timer histograms exposed to Prometheus.
+#: Default latency buckets [s] for histograms exposed to Prometheus.
 DEFAULT_TIME_BUCKETS: Tuple[float, ...] = (
     0.0005,
     0.001,
@@ -356,16 +354,6 @@ class MetricsRegistry:
             )
         return histogram
 
-    @contextmanager
-    def timer(self, name: str, **labels: Any) -> Iterator[None]:
-        """Time a block and record the seconds in histogram *name*."""
-        histogram = self.histogram(name, **labels)
-        start = time.perf_counter()
-        try:
-            yield
-        finally:
-            histogram.observe(time.perf_counter() - start)
-
     def _instruments(
         self,
     ) -> Tuple[
@@ -426,6 +414,21 @@ class MetricsRegistry:
             for (name, labels), counter in counters.items()
             if name.startswith(prefix)
         }
+
+    def histogram_sums(self, name: str) -> Dict[LabelSet, Tuple[int, float]]:
+        """``(count, sum)`` of every histogram called *name*, by label set.
+
+        Like :meth:`counters_with_prefix`, a cheap read: each pair comes
+        from one locked read of its histogram, and no percentile is
+        computed.
+        """
+        _, _, histograms = self._instruments()
+        sums: Dict[LabelSet, Tuple[int, float]] = {}
+        for (instrument, labels), histogram in histograms.items():
+            if instrument == name:
+                with histogram._lock:
+                    sums[labels] = (histogram.count, histogram.total)
+        return sums
 
     # -- Prometheus text exposition -------------------------------------
 

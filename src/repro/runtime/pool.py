@@ -19,8 +19,6 @@ Solvers are looked up by name in :data:`SOLVERS` (``"heuristic"``,
 
 from __future__ import annotations
 
-import time
-
 # Not used here: perfbench/layers.py patches ``pool.ThreadPoolExecutor``,
 # so the name stays importable from this module.
 from concurrent.futures import ThreadPoolExecutor  # noqa: F401
@@ -43,10 +41,13 @@ from ..core import (
 )
 from ..errors import DeadlineExceeded, OptimizationError, RuntimeEngineError
 from ..optics import LEDModel, Photodiode, cree_xte_paper_power, s5971
+from ..tracecontext import Span, add_span_attributes, stage
 from .faults import FaultPlan
 from .metrics import MetricsRegistry
 from .resilience import Deadline, degradation_fallbacks
-from .tracing import SpanRecorder, shift_payload
+
+#: The sampled spans one solve's attempts are bracketed under.
+TraceParents = Sequence[Optional[Span]]
 
 
 @dataclass(frozen=True)
@@ -67,12 +68,6 @@ class SolveTask:
     :class:`~repro.errors.DeadlineExceeded` at its first checkpoint past
     it.  ``faults``/``fault_key`` hook the seedable chaos harness
     (:class:`FaultPlan`) into the solve.
-
-    ``traced`` asks for a span payload: the solve runs inside a
-    :class:`~repro.runtime.tracing.SpanRecorder` span, and
-    :class:`SolveOutcome.spans` carries the captured spans back so the
-    service can attach them to every request trace the solve serves.
-    Untraced tasks take exactly the pre-tracing code path.
     """
 
     channel: np.ndarray
@@ -88,7 +83,6 @@ class SolveTask:
     deadline: Optional[float] = None
     faults: Optional[FaultPlan] = None
     fault_key: Hashable = 0
-    traced: bool = False
 
     def problem(self) -> AllocationProblem:
         return AllocationProblem(
@@ -133,9 +127,6 @@ class SolveOutcome:
         deadline_exceeded: the task's deadline expired along the way
             (the result is the best allocation the remaining budget
             could buy).
-        spans: span payload dicts captured around every solve attempt
-            (only for ``traced`` tasks; times are on the
-            ``perf_counter`` clock).
     """
 
     swings: np.ndarray
@@ -143,7 +134,6 @@ class SolveOutcome:
     requested_solver: str
     degraded: bool = False
     deadline_exceeded: bool = False
-    spans: "tuple[dict, ...]" = ()
 
 
 def _solve_heuristic(task: SolveTask, metrics=None) -> Allocation:
@@ -205,74 +195,83 @@ class SolverPool:
 
     def __init__(self, metrics: Optional[MetricsRegistry] = None) -> None:
         self.metrics = metrics if metrics is not None else MetricsRegistry()
+        self._solve_stage = {
+            solver: self.metrics.histogram(
+                "stage.self_seconds", stage=f"solve[{solver}]"
+            )
+            for solver in SOLVERS
+        }
 
     def solve_many(self, tasks: Sequence[SolveTask]) -> List[np.ndarray]:
         """Solve every task, preserving submission order."""
         return [outcome.swings for outcome in self.solve_outcomes(tasks)]
 
-    def solve_outcomes(self, tasks: Sequence[SolveTask]) -> List[SolveOutcome]:
-        """Solve every task, returning swings plus resilience provenance."""
+    def solve_outcomes(
+        self,
+        tasks: Sequence[SolveTask],
+        trace_parents: Optional[Sequence[TraceParents]] = None,
+    ) -> List[SolveOutcome]:
+        """Solve every task, returning swings plus resilience provenance.
+
+        *trace_parents* (aligned with *tasks*) names the sampled spans
+        each task's attempts are recorded under -- the service passes
+        the ``allocation`` spans of the requests a solve serves.
+        Without it every attempt inherits the enclosing stage's spans.
+        """
         tasks = list(tasks)
         self.metrics.counter("pool.tasks").increment(len(tasks))
         for task in tasks:
             self.metrics.counter("pool.solves", solver=task.solver).increment()
-        return [self._solve_outcome(task) for task in tasks]
+        if trace_parents is None:
+            return [self._solve_outcome(task, None) for task in tasks]
+        return [
+            self._solve_outcome(task, parents)
+            for task, parents in zip(tasks, trace_parents)
+        ]
 
     # ------------------------------------------------------------------
 
     def _attempt(
-        self, task: SolveTask, attempt: int, spans: Optional[List[dict]]
+        self, task: SolveTask, attempt: int, parents: Optional[TraceParents]
     ) -> np.ndarray:
-        """Run one solve attempt on the calling thread.
+        """Run one solve attempt on the calling thread, as a ``solve`` stage.
 
-        For traced tasks (*spans* is a list) the attempt runs inside a
-        recorded ``solve`` span whose payload is shifted onto this
-        process's clock and appended to *spans*, whether the attempt
-        returned or raised.  Running inside the recorder's span also
-        routes optimizer introspection
-        (:func:`repro.tracecontext.add_span_attributes`) into the
-        payload.  An attempt stopped by its deadline is flagged
-        ``timed_out``.
+        The stage's histogram is labelled by the attempt's tier; for
+        sampled requests the attempt is also a ``solve`` span, flagged
+        ``timed_out`` when its deadline stopped it, and the optimizer's
+        introspection (:func:`repro.tracecontext.add_span_attributes`)
+        lands on it.
         """
-        with self.metrics.timer("pool.solve_seconds"):
-            if spans is None:
-                return solve_task(task, metrics=self.metrics, attempt=attempt)
-            call_start = time.perf_counter()
-            recorder = SpanRecorder()
+        with stage(
+            "solve", self._solve_stage.get(task.solver), parents=parents,
+            solver=task.solver, attempt=attempt, reduce=task.reduce,
+            warm_started=task.warm_start is not None,
+        ):
             try:
-                with recorder.span(
-                    "solve", solver=task.solver, attempt=attempt,
-                    reduce=task.reduce, warm_started=task.warm_start is not None,
-                ) as span:
-                    try:
-                        return solve_task(
-                            task, metrics=self.metrics, attempt=attempt
-                        )
-                    except DeadlineExceeded:
-                        span.set_attribute("timed_out", True)
-                        raise
-            finally:
-                spans.extend(shift_payload(recorder.payload(), call_start))
+                return solve_task(task, metrics=self.metrics, attempt=attempt)
+            except DeadlineExceeded:
+                add_span_attributes(timed_out=True)
+                raise
 
-    def _solve_outcome(self, task: SolveTask) -> SolveOutcome:
-        spans: Optional[List[dict]] = [] if task.traced else None
+    def _solve_outcome(
+        self, task: SolveTask, parents: Optional[TraceParents]
+    ) -> SolveOutcome:
         try:
             # A budget spent before the solve starts counts as a missed
             # first attempt: go straight to the fallbacks.
             task.deadline_object().require("solve")
-            swings = self._attempt(task, 0, spans)
+            swings = self._attempt(task, 0, parents)
         except (DeadlineExceeded, OptimizationError) as error:
-            return self._degraded_outcome(task, error, spans)
+            return self._degraded_outcome(task, error, parents)
         return SolveOutcome(
-            swings=swings, solver=task.solver, requested_solver=task.solver,
-            spans=tuple(spans) if spans else (),
+            swings=swings, solver=task.solver, requested_solver=task.solver
         )
 
     def _degraded_outcome(
         self,
         task: SolveTask,
         cause: Exception,
-        spans: Optional[List[dict]],
+        parents: Optional[TraceParents],
     ) -> SolveOutcome:
         """Fall down the degradation chain and return the best cheaper solve.
 
@@ -294,7 +293,7 @@ class SolverPool:
                 deadline=None if last else task.deadline,
             )
             try:
-                swings = self._attempt(degraded_task, attempt, spans)
+                swings = self._attempt(degraded_task, attempt, parents)
             except (DeadlineExceeded, OptimizationError):
                 continue
             expired = deadline.expired
@@ -310,7 +309,6 @@ class SolverPool:
                 requested_solver=task.solver,
                 degraded=True,
                 deadline_exceeded=expired,
-                spans=tuple(spans) if spans else (),
             )
         self.metrics.counter("resilience.deadline_expirations").increment()
         raise DeadlineExceeded(

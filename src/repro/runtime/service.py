@@ -21,6 +21,7 @@ from typing import Any, Dict, List, Optional, Protocol, Sequence, Tuple
 import numpy as np
 
 from .. import constants
+from ..analysis.lockgraph import monitored_lock
 from ..channel import (
     AWGNNoise,
     channel_matrix_stack,
@@ -29,7 +30,7 @@ from ..channel import (
 )
 from ..errors import ChannelError, RuntimeEngineError
 from ..system import FINGERPRINT_QUANTUM, Scene
-from ..tracecontext import Span
+from ..tracecontext import Span, add_span_attributes, stage
 from .cache import LRUCache
 from .faults import FaultPlan
 from .metrics import DEFAULT_TIME_BUCKETS, MetricsRegistry
@@ -251,6 +252,22 @@ class AllocationService:
         self._pool = SolverPool(self.metrics)
         self._base_fingerprint = scene.fingerprint(self.options.quantum)
         self._slo: Optional[SLOObserver] = None
+        self._stages = {
+            key: self.metrics.histogram("stage.self_seconds", stage=key)
+            for key in (
+                "channel[hit]",
+                "channel[incremental]",
+                "channel[computed]",
+                "allocation[hit]",
+                "allocation[miss]",
+                "cache",
+                "throughput",
+            )
+        }
+        # Both neighbor memories are shared by every thread serving
+        # through this service: they are read as snapshots taken under
+        # this lock, and all numpy work happens outside it.
+        self._memory_lock = monitored_lock("service.memory")
         # Recently served placements: key -> (M, 2) positions, used to
         # find incremental-channel and warm-start neighbors.
         self._placement_memory: "OrderedDict[str, np.ndarray]" = OrderedDict()
@@ -276,11 +293,13 @@ class AllocationService:
         identical cache-missing solves run once.  Results keep request
         order.
 
-        With a tracer attached, every (sampled) request gets its own
-        trace: a ``request`` root span with ``channel`` / ``allocation``
-        (cache lookup + re-attached solve spans) / ``throughput``
-        children.  Batched stages measure one shared window and bracket
-        it into every participating trace.  *trace_parents* (aligned
+        Every stage (channel, allocation, cache lookup, solve,
+        throughput) is timed once by :class:`repro.tracecontext.stage`.
+        With a tracer attached, every (sampled) request also gets its
+        own trace: a ``request`` root span with ``channel`` /
+        ``allocation`` (cache lookup + solve spans) / ``throughput``
+        children; a batched stage's one window is bracketed into every
+        participating trace.  *trace_parents* (aligned
         with *requests*) grafts each request span under an upstream
         span instead -- the cluster front door passes its per-request
         ingest spans here so ``queue -> route -> request -> solve``
@@ -307,50 +326,30 @@ class AllocationService:
                     tag=request.tag,
                     batch_size=len(requests),
                 )
-        traced = any(span is not None for span in roots)
+        parents = roots if any(span is not None for span in roots) else None
         # Admission: each request's latency budget starts ticking now and
         # flows through the allocation stage into the solver.
         deadlines = [Deadline.after(r.deadline_seconds) for r in requests]
 
-        stage_start = time.perf_counter() if traced else 0.0
-        channels, placement_keys, channel_hits, channel_meta = (
-            self._channel_stage(requests)
+        channels, placement_keys, channel_hits = self._channel_stage(
+            requests, parents
         )
-        if traced:
-            stage_end = time.perf_counter()
-            for i, root in enumerate(roots):
-                if root is None:
-                    continue
-                root.set_attribute("fingerprint", placement_keys[i])
-                tracer.record_span(
-                    "channel",
-                    parent=root,
-                    start=stage_start,
-                    end=stage_end,
-                    **channel_meta[i],
-                )
         swings, allocation_hits, outcomes = self._allocation_stage(
-            requests, placement_keys, channels, deadlines, roots
+            requests, placement_keys, channels, deadlines, parents
         )
 
         # One batched Eq.-12 evaluation for the whole response.
-        throughput_start = time.perf_counter() if traced else 0.0
-        rates = throughput_stack(
-            np.stack(channels),
-            np.stack(swings),
-            self.scene.led,
-            self.scene.receivers[0].photodiode,
-            self.noise,
-        )
-        if traced:
-            throughput_end = time.perf_counter()
-            for root in roots:
-                tracer.record_span(
-                    "throughput",
-                    parent=root,
-                    start=throughput_start,
-                    end=throughput_end,
-                )
+        with stage(
+            "throughput", self._stages["throughput"], parents=parents,
+            tracer=tracer,
+        ):
+            rates = throughput_stack(
+                np.stack(channels),
+                np.stack(swings),
+                self.scene.led,
+                self.scene.receivers[0].photodiode,
+                self.noise,
+            )
         elapsed = time.perf_counter() - start
         per_request = elapsed / len(requests)
         latency_histogram = self.metrics.histogram("service.latency_seconds")
@@ -389,6 +388,7 @@ class AllocationService:
                     ok=not result.degraded and not result.deadline_exceeded,
                 )
             if root is not None:
+                root.set_attribute("fingerprint", result.fingerprint)
                 root.set_attribute("solver_used", result.solver_used)
                 root.set_attribute("degraded", result.degraded)
                 root.set_attribute("channel_cached", result.channel_cached)
@@ -476,12 +476,13 @@ class AllocationService:
 
     def _remember_placement(self, key: str, positions: np.ndarray) -> None:
         memory = self._placement_memory
-        if key in memory:
-            memory.move_to_end(key)
-        else:
-            memory[key] = positions
-            while len(memory) > self.options.neighborhood_memory:
-                memory.popitem(last=False)
+        with self._memory_lock:
+            if key in memory:
+                memory.move_to_end(key)
+            else:
+                memory[key] = positions
+                while len(memory) > self.options.neighborhood_memory:
+                    memory.popitem(last=False)
 
     def _incremental_channel(
         self, key: str, positions: np.ndarray
@@ -496,7 +497,9 @@ class AllocationService:
         best_key: Optional[str] = None
         best_moved: Optional[np.ndarray] = None
         num_rx = positions.shape[0]
-        for other_key, other_positions in reversed(self._placement_memory.items()):
+        with self._memory_lock:
+            remembered = list(self._placement_memory.items())
+        for other_key, other_positions in reversed(remembered):
             if other_key == key:
                 continue
             moved = np.nonzero(
@@ -515,10 +518,9 @@ class AllocationService:
         base = self._channel_cache.peek(best_key)
         if base is None:
             return None
-        with self.metrics.timer("service.channel_incremental_seconds"):
-            matrix = channel_matrix_update(
-                self.scene, base, positions[best_moved], best_moved
-            )
+        matrix = channel_matrix_update(
+            self.scene, base, positions[best_moved], best_moved
+        )
         self.metrics.counter("service.channel_incremental").increment()
         return matrix
 
@@ -538,8 +540,7 @@ class AllocationService:
         if np.isfinite(matrix).all():
             return matrix, False
         self.metrics.counter("resilience.channel_repairs").increment()
-        with self.metrics.timer("service.channel_seconds"):
-            rebuilt = channel_matrix_stack(self.scene, positions[None, :, :])[0]
+        rebuilt = channel_matrix_stack(self.scene, positions[None, :, :])[0]
         if plan is not None:
             rebuilt = plan.maybe_corrupt_channel(rebuilt, key, attempt=1)
         if not np.isfinite(rebuilt).all():
@@ -548,63 +549,73 @@ class AllocationService:
             )
         return rebuilt, True
 
-    def _channel_stage(self, requests):
+    def _channel_stage(self, requests, parents=None):
         """Resolve every request's channel matrix, batching the misses.
 
         Misses first try the incremental path (recompute only the moved
         receivers' columns of a remembered neighbor placement); whatever
-        remains becomes one batched broadcast.  The returned per-request
-        ``channel_meta`` dicts carry each request's cache outcome
-        (``hit`` / ``incremental`` / ``computed``) and repair flag for
-        the trace layer and labeled counters.
+        remains becomes one batched broadcast.  The whole window is one
+        ``channel`` stage, labelled by the costliest path it took
+        (``computed`` > ``incremental`` > ``hit``); each sampled
+        request's ``channel`` span carries its own cache outcome and
+        repair flag.
         """
-        placement_keys = [
-            self._placement_key(r.rx_positions_xy) for r in requests
-        ]
-        channels: List[Optional[np.ndarray]] = [None] * len(requests)
-        channel_hits = [False] * len(requests)
-        channel_meta: List[dict] = [
-            {"outcome": "hit", "repaired": False} for _ in requests
-        ]
-        miss_keys: Dict[str, List[int]] = {}
-        for i, key in enumerate(placement_keys):
-            cached = self._channel_cache.get(key)
-            if cached is not None:
-                channels[i] = cached
-                channel_hits[i] = True
-                self.metrics.counter("service.channel_hits").increment()
-            else:
-                miss_keys.setdefault(key, []).append(i)
-        if miss_keys:
-            self.metrics.counter("service.channel_misses").increment(len(miss_keys))
+        with stage(
+            "channel", self._stages["channel[hit]"], parents=parents,
+            tracer=self.tracer,
+        ) as window:
+            placement_keys = [
+                self._placement_key(r.rx_positions_xy) for r in requests
+            ]
+            channels: List[Optional[np.ndarray]] = [None] * len(requests)
+            channel_hits = [False] * len(requests)
+            channel_meta: List[dict] = [
+                {"outcome": "hit", "repaired": False} for _ in requests
+            ]
+            miss_keys: Dict[str, List[int]] = {}
+            for i, key in enumerate(placement_keys):
+                cached = self._channel_cache.get(key)
+                if cached is not None:
+                    channels[i] = cached
+                    channel_hits[i] = True
+                    self.metrics.counter("service.channel_hits").increment()
+                else:
+                    miss_keys.setdefault(key, []).append(i)
             batched: Dict[str, List[int]] = {}
-            for key, slots in miss_keys.items():
-                positions = np.array(
-                    requests[slots[0]].rx_positions_xy, dtype=float
+            if miss_keys:
+                self.metrics.counter("service.channel_misses").increment(
+                    len(miss_keys)
                 )
-                matrix = (
-                    self._incremental_channel(key, positions)
-                    if self.options.incremental_channel
-                    else None
-                )
-                if matrix is None:
-                    batched[key] = slots
-                    continue
-                matrix, repaired = self._screen_channel(key, positions, matrix)
-                self._channel_cache.put(key, matrix)
-                self._remember_placement(key, positions)
-                for i in slots:
-                    channels[i] = matrix
-                    channel_meta[i] = {
-                        "outcome": "incremental", "repaired": repaired,
-                    }
+                window.histogram = self._stages["channel[incremental]"]
+                for key, slots in miss_keys.items():
+                    positions = np.array(
+                        requests[slots[0]].rx_positions_xy, dtype=float
+                    )
+                    matrix = (
+                        self._incremental_channel(key, positions)
+                        if self.options.incremental_channel
+                        else None
+                    )
+                    if matrix is None:
+                        batched[key] = slots
+                        continue
+                    matrix, repaired = self._screen_channel(
+                        key, positions, matrix
+                    )
+                    self._channel_cache.put(key, matrix)
+                    self._remember_placement(key, positions)
+                    for i in slots:
+                        channels[i] = matrix
+                        channel_meta[i] = {
+                            "outcome": "incremental", "repaired": repaired,
+                        }
             if batched:
+                window.histogram = self._stages["channel[computed]"]
                 indices = [slots[0] for slots in batched.values()]
                 placements = np.array(
                     [requests[i].rx_positions_xy for i in indices], dtype=float
                 )
-                with self.metrics.timer("service.channel_seconds"):
-                    stack = channel_matrix_stack(self.scene, placements)
+                stack = channel_matrix_stack(self.scene, placements)
                 for matrix, (key, slots) in zip(stack, batched.items()):
                     positions = np.array(
                         requests[slots[0]].rx_positions_xy, dtype=float
@@ -619,16 +630,19 @@ class AllocationService:
                         channel_meta[i] = {
                             "outcome": "computed", "repaired": repaired,
                         }
-        for i, key in enumerate(placement_keys):
-            if channel_hits[i]:
-                self._remember_placement(
-                    key, np.array(requests[i].rx_positions_xy, dtype=float)
-                )
-        for meta in channel_meta:
-            self.metrics.counter(
-                "service.channel_outcomes", outcome=meta["outcome"]
-            ).increment()
-        return channels, placement_keys, channel_hits, channel_meta
+            for i, key in enumerate(placement_keys):
+                if channel_hits[i]:
+                    self._remember_placement(
+                        key, np.array(requests[i].rx_positions_xy, dtype=float)
+                    )
+            for meta in channel_meta:
+                self.metrics.counter(
+                    "service.channel_outcomes", outcome=meta["outcome"]
+                ).increment()
+            for span, meta in zip(window.spans, channel_meta):
+                if span is not None:
+                    span.attributes.update(meta)
+        return channels, placement_keys, channel_hits
 
     def _warm_start_for(
         self, solver: str, positions: np.ndarray
@@ -641,9 +655,9 @@ class AllocationService:
         """
         best: Optional[np.ndarray] = None
         best_distance = self.options.warm_start_radius
-        for entry_key, (entry_positions, entry_swings) in reversed(
-            self._warm_memory.items()
-        ):
+        with self._memory_lock:
+            remembered = list(self._warm_memory.items())
+        for entry_key, (entry_positions, entry_swings) in reversed(remembered):
             if entry_key[2] != solver:
                 continue
             if entry_positions.shape != positions.shape:
@@ -663,14 +677,15 @@ class AllocationService:
         self, key: Tuple, positions: np.ndarray, swings: np.ndarray
     ) -> None:
         memory = self._warm_memory
-        if key in memory:
-            memory.move_to_end(key)
-        memory[key] = (positions, swings)
-        while len(memory) > self.options.neighborhood_memory:
-            memory.popitem(last=False)
+        with self._memory_lock:
+            if key in memory:
+                memory.move_to_end(key)
+            memory[key] = (positions, swings)
+            while len(memory) > self.options.neighborhood_memory:
+                memory.popitem(last=False)
 
     def _allocation_stage(
-        self, requests, placement_keys, channels, deadlines, roots=None
+        self, requests, placement_keys, channels, deadlines, parents=None
     ):
         """Resolve every request's allocation, solving the misses.
 
@@ -682,136 +697,134 @@ class AllocationService:
         flagged on the results and kept out of the caches so a healthy
         retry is never served a degraded allocation.
 
-        For traced requests (*roots* entries that are spans) the stage
-        opens an ``allocation`` span per request, nests the cache lookup
-        under it, marks miss-group tasks as traced so the pool records
-        their solve spans, and attaches the returned payloads.
+        The window is one ``allocation`` stage (labelled ``miss`` when
+        anything was solved) with a ``cache`` stage per lookup and the
+        pool's ``solve`` stages nested in it.  A sampled request's
+        ``allocation`` span parents its own lookup and the attempts of
+        the solve that serves it.
         """
-        tracer = self.tracer
-        if roots is None:
-            roots = [None] * len(requests)
-        traced = any(span is not None for span in roots)
-        stage_start = time.perf_counter() if traced else 0.0
-        alloc_spans: List[Optional[Span]] = [None] * len(requests)
-        swings: List[Optional[np.ndarray]] = [None] * len(requests)
-        allocation_hits = [False] * len(requests)
-        outcomes: List[Optional[SolveOutcome]] = [None] * len(requests)
-        miss_slots: Dict[Tuple, List[int]] = {}
-        for i, request in enumerate(requests):
-            key = (
-                placement_keys[i],
-                float(request.power_budget),
-                request.solver,
-                float(request.kappa),
-            )
-            span = None
-            if roots[i] is not None:
-                span = tracer.start_span(
-                    "allocation", roots[i], start=stage_start,
-                    solver=request.solver,
+        with stage(
+            "allocation", self._stages["allocation[hit]"], parents=parents,
+            tracer=self.tracer,
+        ) as window:
+            alloc_spans = window.spans
+            cache_stage = self._stages["cache"]
+            swings: List[Optional[np.ndarray]] = [None] * len(requests)
+            allocation_hits = [False] * len(requests)
+            outcomes: List[Optional[SolveOutcome]] = [None] * len(requests)
+            miss_slots: Dict[Tuple, List[int]] = {}
+            for i, request in enumerate(requests):
+                key = (
+                    placement_keys[i],
+                    float(request.power_budget),
+                    request.solver,
+                    float(request.kappa),
                 )
-                alloc_spans[i] = span
-                lookup_start = time.perf_counter()
-            cached = self._allocation_cache.get(key)
-            if span is not None:
-                outcome_label = "hit" if cached is not None else "miss"
-                tracer.record_span(
-                    "cache",
-                    parent=span,
-                    start=lookup_start,
-                    end=time.perf_counter(),
+                with stage(
+                    "cache", cache_stage,
+                    parents=(alloc_spans[i],) if alloc_spans else None,
                     kind="allocation",
-                    outcome=outcome_label,
-                )
-                span.set_attribute("cache_outcome", outcome_label)
-            if cached is not None:
-                swings[i] = cached
-                allocation_hits[i] = True
-                self.metrics.counter("service.allocation_hits").increment()
-                self.metrics.counter(
-                    "service.allocation_outcomes", outcome="hit"
-                ).increment()
-            else:
-                miss_slots.setdefault(key, []).append(i)
-                self.metrics.counter(
-                    "service.allocation_outcomes", outcome="miss"
-                ).increment()
-        if miss_slots:
-            self.metrics.counter("service.allocation_misses").increment(
-                len(miss_slots)
-            )
-            tasks = []
-            miss_positions: List[np.ndarray] = []
-            for key, slots in miss_slots.items():
-                request = requests[slots[0]]
-                positions = np.array(request.rx_positions_xy, dtype=float)
-                miss_positions.append(positions)
-                warm = None
-                # Warm starts seed SLSQP (optimal) and compete with the
-                # ranked seed of the swing search.
-                if (
-                    self.options.warm_start
-                    and request.solver in ("optimal", "swing")
                 ):
-                    warm = self._warm_start_for(request.solver, positions)
-                    if warm is not None:
-                        self.metrics.counter("service.warm_starts").increment()
-                group_deadline = min(
-                    (deadlines[i] for i in slots),
-                    key=lambda d: d.expires_at,
+                    cached = self._allocation_cache.get(key)
+                    outcome_label = "hit" if cached is not None else "miss"
+                    add_span_attributes(outcome=outcome_label)
+                if alloc_spans and alloc_spans[i] is not None:
+                    alloc_spans[i].set_attribute("cache_outcome", outcome_label)
+                if cached is not None:
+                    swings[i] = cached
+                    allocation_hits[i] = True
+                    self.metrics.counter("service.allocation_hits").increment()
+                else:
+                    miss_slots.setdefault(key, []).append(i)
+                self.metrics.counter(
+                    "service.allocation_outcomes", outcome=outcome_label
+                ).increment()
+            if miss_slots:
+                window.histogram = self._stages["allocation[miss]"]
+                self._solve_misses(
+                    requests, channels, deadlines, miss_slots, swings,
+                    outcomes, alloc_spans,
                 )
-                tasks.append(
-                    SolveTask(
-                        channel=channels[slots[0]],
-                        power_budget=request.power_budget,
-                        solver=request.solver,
-                        kappa=request.kappa,
-                        led=self.scene.led,
-                        photodiode=self.scene.receivers[0].photodiode,
-                        noise=self.noise,
-                        warm_start=warm,
-                        deadline=(
-                            group_deadline.expires_at
-                            if group_deadline.bounded
-                            else None
-                        ),
-                        faults=self.options.faults,
-                        fault_key=key,
-                        traced=any(alloc_spans[i] is not None for i in slots),
-                    )
-                )
-            with self.metrics.timer("service.solve_seconds"):
-                solved = self._pool.solve_outcomes(tasks)
-            for outcome, positions, task, (key, slots) in zip(
-                solved, miss_positions, tasks, miss_slots.items()
-            ):
-                matrix = outcome.swings
-                if not outcome.degraded:
-                    # Degraded results stay out of the caches: a later
-                    # healthy solve under the same key must not inherit
-                    # a timed-out fallback allocation.
-                    self._allocation_cache.put(key, matrix)
-                    if key[2] in ("optimal", "swing"):
-                        self._remember_allocation(key, positions, matrix)
-                for i in slots:
-                    swings[i] = matrix
-                    outcomes[i] = outcome
-                    span = alloc_spans[i]
-                    if span is not None:
-                        span.attributes.update(
-                            solver_used=outcome.solver,
-                            degraded=outcome.degraded,
-                            deadline_exceeded=outcome.deadline_exceeded,
-                            warm_started=task.warm_start is not None,
-                            reduce=task.reduce,
-                        )
-                        # A shared group solve re-attaches into every
-                        # participating request's trace.
-                        tracer.attach_payload(outcome.spans, span)
-        if traced:
-            for span in alloc_spans:
-                tracer.finish(span)
         return swings, allocation_hits, outcomes
+
+    def _solve_misses(
+        self, requests, channels, deadlines, miss_slots, swings, outcomes,
+        alloc_spans,
+    ):
+        """Solve each miss group once and fan the result out to its slots."""
+        self.metrics.counter("service.allocation_misses").increment(
+            len(miss_slots)
+        )
+        tasks = []
+        miss_positions: List[np.ndarray] = []
+        for key, slots in miss_slots.items():
+            request = requests[slots[0]]
+            positions = np.array(request.rx_positions_xy, dtype=float)
+            miss_positions.append(positions)
+            warm = None
+            # Warm starts seed SLSQP (optimal) and compete with the
+            # ranked seed of the swing search.
+            if (
+                self.options.warm_start
+                and request.solver in ("optimal", "swing")
+            ):
+                warm = self._warm_start_for(request.solver, positions)
+                if warm is not None:
+                    self.metrics.counter("service.warm_starts").increment()
+            group_deadline = min(
+                (deadlines[i] for i in slots),
+                key=lambda d: d.expires_at,
+            )
+            tasks.append(
+                SolveTask(
+                    channel=channels[slots[0]],
+                    power_budget=request.power_budget,
+                    solver=request.solver,
+                    kappa=request.kappa,
+                    led=self.scene.led,
+                    photodiode=self.scene.receivers[0].photodiode,
+                    noise=self.noise,
+                    warm_start=warm,
+                    deadline=(
+                        group_deadline.expires_at
+                        if group_deadline.bounded
+                        else None
+                    ),
+                    faults=self.options.faults,
+                    fault_key=key,
+                )
+            )
+        solved = self._pool.solve_outcomes(
+            tasks,
+            trace_parents=(
+                [[alloc_spans[i] for i in slots] for slots in miss_slots.values()]
+                if alloc_spans
+                else None
+            ),
+        )
+        for outcome, positions, task, (key, slots) in zip(
+            solved, miss_positions, tasks, miss_slots.items()
+        ):
+            matrix = outcome.swings
+            if not outcome.degraded:
+                # Degraded results stay out of the caches: a later
+                # healthy solve under the same key must not inherit
+                # a timed-out fallback allocation.
+                self._allocation_cache.put(key, matrix)
+                if key[2] in ("optimal", "swing"):
+                    self._remember_allocation(key, positions, matrix)
+            for i in slots:
+                swings[i] = matrix
+                outcomes[i] = outcome
+                span = alloc_spans[i] if alloc_spans else None
+                if span is not None:
+                    span.attributes.update(
+                        solver_used=outcome.solver,
+                        degraded=outcome.degraded,
+                        deadline_exceeded=outcome.deadline_exceeded,
+                        warm_started=task.warm_start is not None,
+                        reduce=task.reduce,
+                    )
 
     def _refresh_gauges(self) -> None:
         self.metrics.gauge("service.channel_cache_size").set(

@@ -10,15 +10,15 @@ constraints shape the module:
   ``(seed, counter)``, so the same workload under the same seed produces
   the same ids -- trace output diffs cleanly across runs.  Sampling
   decisions are pure hashes of the trace index, never a global RNG.
-- **Shared-solve aware**: one solve may serve several requests, so the
-  solver pool records its spans into a :class:`SpanRecorder` whose
-  payload -- plain dicts with local ids and capture-relative times --
-  travels back with the solve result and is attached to every request
-  trace it serves by :meth:`Tracer.attach_payload` (ids remapped
-  deterministically, times re-based on the tracer's clock).
+- **Batch aware**: the tracer records no timings of its own.  Every
+  stage window is measured once by :class:`repro.tracecontext.stage`,
+  which asks the tracer for one child span per sampled request it
+  serves -- a solve shared by several requests lands in each of their
+  traces with the same start and end.
 - **Near-free when off**: a disabled tracer refuses every span with one
   attribute read; call sites in the service guard their bookkeeping on
-  ``tracer.enabled`` so the untraced hot path is unchanged.
+  ``tracer.enabled`` so the untraced hot path only observes the stage
+  histograms.
 
 Exports: :meth:`Tracer.export_chrome_trace` writes Chrome-trace /
 Perfetto JSON (load it at https://ui.perfetto.dev), and
@@ -33,13 +33,12 @@ import hashlib
 import json
 import time
 from collections import deque
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Callable, Deque, Dict, Iterator, List, Optional, Sequence
+from typing import Any, Callable, Deque, Dict, List, Optional
 
 from ..analysis.lockgraph import monitored_lock
 from ..errors import ConfigurationError
-from ..tracecontext import Span, activate_span, current_span
+from ..tracecontext import Span
 
 
 def _hash_id(seed: int, kind: str, index: int) -> str:
@@ -92,12 +91,10 @@ class TracingOptions:
 class Tracer:
     """Deterministic, sampling-aware span factory and buffer.
 
-    Spans are created either explicitly (:meth:`start_trace` /
-    :meth:`start_span` / :meth:`finish`, used by the service to bracket
-    batched stage windows measured separately) or via the
-    :meth:`span` context manager (which also scopes the span into the
-    process-local context so nested instrumentation --
-    :func:`repro.tracecontext.add_span_attributes` -- lands on it).
+    :meth:`start_trace` opens a request's root span (or declines it on
+    the sampling draw); :class:`repro.tracecontext.stage` opens and
+    closes the stage spans under it through :meth:`start_span` and
+    :meth:`finish`.
     """
 
     def __init__(
@@ -112,7 +109,6 @@ class Tracer:
         self._dropped = 0
         self._trace_count = 0
         self._span_count = 0
-        self._overhead = 0.0
 
     @classmethod
     def disabled(cls) -> "Tracer":
@@ -130,20 +126,6 @@ class Tracer:
         with self._lock:
             return self._dropped
 
-    @property
-    def overhead_seconds(self) -> float:
-        """Accumulated wall time spent committing spans to the buffer.
-
-        A lower bound on tracing cost: it covers the buffer-commit path
-        (lock + append + eviction) for every recorded span, which is
-        the only tracing work on the hot path that survives after a
-        span's attributes are gathered.  Zero for a disabled tracer --
-        the disabled path never reaches :meth:`_record`, so measuring
-        here keeps the bit-identity guarantee intact.
-        """
-        with self._lock:
-            return self._overhead
-
     def finished_spans(self) -> List[Span]:
         """Recorded spans, oldest first (bounded by ``max_spans``)."""
         with self._lock:
@@ -156,17 +138,14 @@ class Tracer:
             self._dropped = 0
             self._trace_count = 0
             self._span_count = 0
-            self._overhead = 0.0
 
     # -- span creation --------------------------------------------------
 
     def _record(self, span: Span) -> None:
-        committed_at = self._clock()
         with self._lock:
             if len(self._spans) == self._spans.maxlen:
                 self._dropped += 1
             self._spans.append(span)
-            self._overhead += self._clock() - committed_at
 
     def _next_span_id(self) -> str:
         with self._lock:
@@ -236,95 +215,6 @@ class Tracer:
             return
         span.end = self._clock() if end is None else end
         self._record(span)
-
-    def record_span(
-        self,
-        name: str,
-        parent: Optional[Span],
-        start: float,
-        end: float,
-        **attributes: Any,
-    ) -> Optional[Span]:
-        """Commit an already-measured window as a child span of *parent*.
-
-        The service uses this for batched stages: the stage measures one
-        shared window and brackets it into every participating request's
-        trace.
-        """
-        span = self.start_span(name, parent, start=start, **attributes)
-        if span is not None:
-            self.finish(span, end=end)
-        return span
-
-    @contextmanager
-    def span(
-        self, name: str, parent: Optional[Span] = None, **attributes: Any
-    ) -> Iterator[Optional[Span]]:
-        """Context-managed span, scoped into the process-local context.
-
-        With no explicit *parent* the context-active span is used; with
-        no active span either, a new (sampled) trace is started.
-        """
-        if not self.options.enabled:
-            yield None
-            return
-        if parent is None:
-            parent = current_span()
-        span = (
-            self.start_trace(name, **attributes)
-            if parent is None
-            else self.start_span(name, parent, **attributes)
-        )
-        if span is None:
-            yield None
-            return
-        try:
-            with activate_span(span):
-                yield span
-        finally:
-            self.finish(span)
-
-    # -- recorded payloads ----------------------------------------------
-
-    def attach_payload(
-        self,
-        payload: Sequence[dict],
-        parent: Optional[Span],
-        base_time: float = 0.0,
-    ) -> None:
-        """Attach spans captured by a :class:`SpanRecorder`.
-
-        *payload* is :meth:`SpanRecorder.payload` output (or the
-        parent-clock-shifted copy the solver pool returns): plain dicts
-        with local ids, ordered parents-before-children.  Each entry
-        gets a fresh deterministic span id in this tracer, its local
-        parent reference remapped (falling back to *parent* for payload
-        roots), and its times shifted by *base_time*.
-
-        A shared solve serving several requests is attached once per
-        request trace; every attachment clones the payload with that
-        trace's ids.
-        """
-        if parent is None or not payload or not self.options.enabled:
-            return
-        id_map: Dict[str, str] = {}
-        for entry in payload:
-            span_id = self._next_span_id()
-            local_id = entry.get("span_id", "")
-            if local_id:
-                id_map[local_id] = span_id
-            parent_id = id_map.get(entry.get("parent_id") or "", parent.span_id)
-            self._record(
-                Span(
-                    entry["name"],
-                    trace_id=parent.trace_id,
-                    span_id=span_id,
-                    parent_id=parent_id,
-                    start=base_time + float(entry["start"]),
-                    end=base_time + float(entry["end"]),
-                    attributes=dict(entry.get("attributes", {})),
-                )
-            )
 
     # -- export ---------------------------------------------------------
 
@@ -413,63 +303,3 @@ def _jsonable(value: Any) -> Any:
     if hasattr(value, "item"):  # numpy scalars
         return value.item()
     return str(value)
-
-
-class SpanRecorder:
-    """Span capture for a solve, independent of any request trace.
-
-    A solve may serve several requests, so it records spans with
-    *local* ids (``r0``, ``r1`` ... assigned at span start, hence
-    parents-before-children in the payload) and times relative to the
-    recorder's creation instant.  The payload -- plain dicts -- rides
-    back with the solve result; the caller shifts the times onto its
-    own clock and :meth:`Tracer.attach_payload` remaps the ids once per
-    request trace.
-
-    The recorder also scopes each span into the process-local context,
-    so optimizer introspection (:func:`add_span_attributes`) lands on
-    the recorded solve span.
-    """
-
-    def __init__(self, clock: Callable[[], float] = time.perf_counter) -> None:
-        self._clock = clock
-        self._origin = clock()
-        self._count = 0
-        self.spans: List[Span] = []
-
-    @contextmanager
-    def span(self, name: str, **attributes: Any) -> Iterator[Span]:
-        parent = current_span()
-        span = Span(
-            name,
-            span_id=f"r{self._count}",
-            parent_id=(
-                parent.span_id
-                if parent is not None and parent in self.spans
-                else None
-            ),
-            start=self._clock() - self._origin,
-            attributes=attributes,
-        )
-        self._count += 1
-        self.spans.append(span)
-        try:
-            with activate_span(span):
-                yield span
-        finally:
-            span.end = self._clock() - self._origin
-
-    def payload(self) -> List[dict]:
-        """The recorded spans as plain dicts (relative times)."""
-        return [span.as_dict() for span in self.spans]
-
-
-def shift_payload(payload: Sequence[dict], offset: float) -> List[dict]:
-    """A copy of *payload* with every span time shifted by *offset* [s]."""
-    shifted = []
-    for entry in payload:
-        entry = dict(entry)
-        entry["start"] = float(entry["start"]) + offset
-        entry["end"] = float(entry["end"]) + offset
-        shifted.append(entry)
-    return shifted

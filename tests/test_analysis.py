@@ -431,8 +431,6 @@ class TestSymbolTable:
                 """\
                 def serve(metrics, dt):
                     metrics.counter("x.served", shard="a").increment()
-                    with metrics.timer("x.latency"):
-                        pass
                     hist = metrics.histogram("x.sizes", buckets=(1, 2))
                     hist.observe(dt)
                 def report(metrics):
@@ -447,8 +445,6 @@ class TestSymbolTable:
         assert by_name["x.served"][0].access == "write"
         assert by_name["x.served"][0].labels == ("shard",)
         assert by_name["x.served"][1].access == "read"
-        assert by_name["x.latency"][0].kind == "histogram"
-        assert by_name["x.latency"][0].access == "write"
         # buckets is configuration, not a label; the assigned variable's
         # .observe() makes the registration a write.
         assert by_name["x.sizes"][0].labels == ()

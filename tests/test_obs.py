@@ -3,7 +3,8 @@
 Covers the replayable trace format (record -> save -> load -> replay is
 a bit-identical fixed point), the service/cluster replayers and their
 rate modes, the perf-trajectory ledger with its regression diff, the
-span-fold latency attribution, the rolling SLO tracker, and -- the
+per-stage attribution table over the stage histograms (and that spans
+and histograms tell one story), the rolling SLO tracker, and -- the
 invariant every opt-in observability feature must keep -- that the
 disabled paths stay bit-identical to the pre-obs behavior.
 """
@@ -11,7 +12,6 @@ disabled paths stay bit-identical to the pre-obs behavior.
 from __future__ import annotations
 
 import json
-from types import SimpleNamespace
 
 import pytest
 
@@ -37,12 +37,19 @@ from repro.obs import (
     render_attribution,
     replay_cluster,
     replay_service,
+    service_for,
+    stage_totals,
 )
+from repro.obs.attribution import STAGE_HISTOGRAM
 from repro.runtime import (
     AllocationRequest,
     AllocationService,
+    FaultPlan,
+    MetricsRegistry,
+    ServiceOptions,
     Tracer,
     TracingOptions,
+    stage,
 )
 from repro.scenarios import build_scenario
 
@@ -291,17 +298,27 @@ class TestReplayService:
         with pytest.raises(ConfigurationError, match="fingerprint mismatch"):
             replay_service(TraceReplayer.load(str(path)))
 
-    def test_attribution_requires_a_tracer(self, trace_path):
+    def test_attribution_needs_no_tracer(self, trace_path):
         replayer = TraceReplayer.load(trace_path)
         plain = replay_service(replayer)
-        assert plain.stage_self_ms == {}
+        for prefix in ("channel[", "allocation[", "solve["):
+            assert any(key.startswith(prefix) for key in plain.stage_self_ms)
+        assert all(ms >= 0.0 for ms in plain.stage_self_ms.values())
         traced = replay_service(
             replayer, tracer=Tracer(TracingOptions(seed=0))
         )
-        assert traced.stage_self_ms
-        assert any(
-            stage.startswith("channel") for stage in traced.stage_self_ms
-        )
+        assert set(traced.stage_self_ms) == set(plain.stage_self_ms)
+
+    def test_reused_service_reports_only_its_own_replay(self, trace_path):
+        replayer = TraceReplayer.load(trace_path)
+        service = service_for(replayer)
+        first = replay_service(replayer, service=service)
+        second = replay_service(replayer, service=service)
+        # The second pass hits both caches: no channel is computed and
+        # nothing is solved, so neither may leak in from the first.
+        assert any(key.startswith("solve[") for key in first.stage_self_ms)
+        assert not any(key.startswith("solve[") for key in second.stage_self_ms)
+        assert "channel[hit]" in second.stage_self_ms
 
     def test_slo_snapshot_lands_in_the_report(self, trace_path):
         replayer = TraceReplayer.load(trace_path)
@@ -478,92 +495,184 @@ class TestLedger:
 # ----------------------------------------------------------------------
 
 
-def _span(name, span_id, parent_id, duration, **attributes):
-    return SimpleNamespace(
-        name=name,
-        span_id=span_id,
-        parent_id=parent_id,
-        duration=duration,
-        attributes=attributes,
-    )
+def _registry(**self_seconds):
+    """A registry whose stage histograms hold the given observations."""
+    registry = MetricsRegistry()
+    for key, observations in self_seconds.items():
+        histogram = registry.histogram(STAGE_HISTOGRAM, stage=key)
+        for value in observations:
+            histogram.observe(value)
+    return registry
+
+
+#: The span attribute that refines a span name into its stage key.
+_REFINEMENTS = {
+    "channel": "outcome",
+    "allocation": "cache_outcome",
+    "solve": "solver",
+}
+
+
+def _span_self_seconds(spans):
+    """Per-stage span self time: duration minus the children's."""
+    child_time = {}
+    for span in spans:
+        if span.parent_id is not None:
+            child_time[span.parent_id] = (
+                child_time.get(span.parent_id, 0.0) + span.duration
+            )
+    totals = {}
+    for span in spans:
+        if span.parent_id is None:
+            continue  # request roots are traces, not stages
+        key = span.name
+        if span.name in _REFINEMENTS:
+            key = f"{span.name}[{span.attributes[_REFINEMENTS[span.name]]}]"
+        totals[key] = totals.get(key, 0.0) + (
+            span.duration - child_time.get(span.span_id, 0.0)
+        )
+    return totals
+
+
+@pytest.fixture(scope="module")
+def outage_trace(tmp_path_factory):
+    path = tmp_path_factory.mktemp("traces") / "led-outage.trace.jsonl"
+    TraceRecorder.record_scenario("led-outage").save(str(path))
+    return str(path)
 
 
 class TestAttribution:
     def test_self_time_excludes_children(self):
-        spans = [
-            _span("request", "a", None, 0.010),
-            _span("channel", "b", "a", 0.004),
-            _span("allocation", "c", "a", 0.003, cache_outcome="miss"),
-        ]
-        table = attribution_table(spans)
-        rows = {row["stage"]: row for row in table}
-        assert rows["request"]["self_ms"] == pytest.approx(3.0)
-        assert rows["request"]["child_ms"] == pytest.approx(7.0)
-        assert rows["channel"]["self_ms"] == pytest.approx(4.0)
-        assert rows["allocation[miss]"]["self_ms"] == pytest.approx(3.0)
-        fractions = sum(row["self_fraction"] for row in table)
+        registry = MetricsRegistry()
+        tracer = Tracer(TracingOptions(seed=0))
+        root = tracer.start_trace("request")
+        with stage(
+            "allocation[miss]",
+            registry.histogram(STAGE_HISTOGRAM, stage="allocation[miss]"),
+            parents=[root],
+            tracer=tracer,
+        ) as outer:
+            with stage(
+                "solve[swing]",
+                registry.histogram(STAGE_HISTOGRAM, stage="solve[swing]"),
+            ) as inner:
+                sum(range(1000))
+        rows = {
+            row["stage"]: row
+            for row in attribution_table(stage_totals([registry]))
+        }
+        outer_ms = 1e3 * outer.spans[0].duration
+        inner_ms = 1e3 * inner.spans[0].duration
+        assert rows["solve[swing]"]["self_ms"] == pytest.approx(inner_ms)
+        assert rows["allocation[miss]"]["self_ms"] == pytest.approx(
+            outer_ms - inner_ms
+        )
+        fractions = sum(row["self_fraction"] for row in rows.values())
         assert fractions == pytest.approx(1.0)
 
     def test_refinements_split_cost_profiles(self):
-        spans = [
-            _span("allocation", "a", None, 0.001, cache_outcome="hit"),
-            _span("allocation", "b", None, 0.005, cache_outcome="miss"),
-            _span("solve", "c", "b", 0.004, solver="swing"),
-        ]
-        stages = [row["stage"] for row in attribution_table(spans)]
-        assert "allocation[hit]" in stages
-        assert "allocation[miss]" in stages
-        assert "solve[swing]" in stages
+        registry = _registry(**{
+            "allocation[hit]": [0.001],
+            "allocation[miss]": [0.001, 0.002],
+            "solve[swing]": [0.004],
+        })
+        rows = {
+            row["stage"]: row
+            for row in attribution_table(stage_totals([registry]))
+        }
+        assert set(rows) == {"allocation[hit]", "allocation[miss]", "solve[swing]"}
+        assert rows["allocation[miss]"]["count"] == 2
+        assert rows["allocation[miss]"]["self_ms"] == pytest.approx(3.0)
 
     def test_unrefined_span_keeps_plain_name(self):
-        table = attribution_table([_span("allocation", "a", None, 0.001)])
-        assert table[0]["stage"] == "allocation"
+        table = attribution_table(
+            stage_totals([_registry(throughput=[0.001])])
+        )
+        assert table[0]["stage"] == "throughput"
 
-    def test_child_outlasting_parent_clamps_at_zero(self):
-        # Batched stages bracket one shared window into several traces;
-        # a child can nominally outlast its parent's slice.
-        spans = [
-            _span("request", "a", None, 0.001),
-            _span("channel", "b", "a", 0.005),
-        ]
-        rows = {row["stage"]: row for row in attribution_table(spans)}
-        assert rows["request"]["self_ms"] == 0.0
-        assert rows["channel"]["self_ms"] == pytest.approx(5.0)
+    def test_totals_sum_across_registries(self):
+        totals = stage_totals([
+            _registry(queue=[0.001]),
+            _registry(queue=[0.002], route=[0.003]),
+        ])
+        assert totals["queue"] == (2, pytest.approx(0.003))
+        assert totals["route"] == (1, pytest.approx(0.003))
+
+    def test_delta_drops_stages_without_new_observations(self):
+        registry = _registry(channel=[0.005], cache=[0.001])
+        before = stage_totals([registry])
+        registry.histogram(STAGE_HISTOGRAM, stage="cache").observe(0.002)
+        table = attribution_table(stage_totals([registry]), before)
+        assert [row["stage"] for row in table] == ["cache"]
+        assert table[0]["count"] == 1
+        assert table[0]["self_ms"] == pytest.approx(2.0)
 
     def test_sorted_by_descending_self_time(self):
-        spans = [
-            _span("cheap", "a", None, 0.001),
-            _span("dear", "b", None, 0.009),
-        ]
-        assert [r["stage"] for r in attribution_table(spans)] == [
-            "dear",
-            "cheap",
-        ]
+        registry = _registry(cheap=[0.001], dear=[0.009])
+        assert [
+            r["stage"] for r in attribution_table(stage_totals([registry]))
+        ] == ["dear", "cheap"]
 
     def test_empty_input(self):
-        assert attribution_table([]) == []
+        assert attribution_table({}) == []
+        assert attribution_table(stage_totals([MetricsRegistry()])) == []
         assert render_attribution([]) == []
 
     def test_render_alignment(self):
-        table = attribution_table([_span("request", "a", None, 0.010)])
+        table = attribution_table(stage_totals([_registry(request=[0.010])]))
         lines = render_attribution(table)
-        assert lines[0].split() == [
-            "stage", "count", "self", "ms", "child", "ms", "total", "ms",
-            "self", "%",
-        ]
+        assert lines[0].split() == ["stage", "count", "self", "ms", "self", "%"]
         assert "request" in lines[1]
         assert "100.0%" in lines[1]
 
-    def test_real_tracer_spans_fold_cleanly(self, fast_trace, tmp_path):
-        path = tmp_path / "fast.trace.jsonl"
-        fast_trace.save(str(path))
-        tracer = Tracer(TracingOptions(seed=0))
-        replay_service(TraceReplayer.load(str(path)), tracer=tracer)
-        table = attribution_table(tracer.finished_spans())
-        stages = {row["stage"] for row in table}
-        assert any(s.startswith("request") for s in stages)
-        assert any(s.startswith("allocation[") for s in stages)
-        assert all(row["self_ms"] >= 0.0 for row in table)
+    def test_real_tracer_spans_fold_cleanly(self, outage_trace):
+        # One request per batch: every span is its stage's whole
+        # window, so spans and histograms must tell the same story.
+        tracer = Tracer(TracingOptions(sample_rate=1.0, seed=0))
+        replayer = TraceReplayer.load(outage_trace)
+        service = service_for(replayer, tracer=tracer)
+        replay_service(replayer, mode="fixed", rate=5000.0, service=service)
+        histogram_seconds = {
+            key: seconds
+            for key, (_, seconds) in stage_totals([service.metrics]).items()
+        }
+        span_seconds = _span_self_seconds(tracer.finished_spans())
+        assert tracer.dropped_spans == 0
+        assert set(span_seconds) == set(histogram_seconds)
+        for key, seconds in histogram_seconds.items():
+            assert span_seconds[key] == pytest.approx(seconds, abs=1e-9), key
+
+    def test_solve_stall_lands_on_the_solve_stage(self, fast_trace):
+        stall = 0.02
+        replayer = TraceReplayer(fast_trace)
+        scene = build_scenario(FAST_SCENARIO, 0).scene
+
+        def replay(faults):
+            service = AllocationService(
+                scene, options=ServiceOptions(faults=faults)
+            )
+            report = replay_service(replayer, service=service)
+            return report, service.metrics.counter(
+                "service.allocation_misses"
+            ).value
+
+        def stage_ms(report, prefix):
+            return sum(
+                ms for key, ms in report.stage_self_ms.items()
+                if key.startswith(prefix)
+            )
+
+        base, _ = replay(None)
+        stalled, stalls = replay(
+            FaultPlan(slow_solve_probability=1.0, slow_solve_seconds=stall)
+        )
+        assert stalls > 0
+        assert stage_ms(stalled, "solve[") - stage_ms(base, "solve[") >= (
+            1e3 * stall * stalls
+        )
+        assert abs(
+            stage_ms(stalled, "channel[") - stage_ms(base, "channel[")
+        ) < 1e3 * stall
 
 
 # ----------------------------------------------------------------------

@@ -196,8 +196,10 @@ class TestReducedSolve:
         )
         snapshot = metrics.snapshot()
         assert snapshot["counters"]["optimizer.reduced_solves"] == 1
-        assert "optimizer.prune_seconds" in snapshot["histograms"]
-        assert "optimizer.reduced_solve_seconds" in snapshot["histograms"]
+        assert 'stage.self_seconds{stage="prune"}' in snapshot["histograms"]
+        assert (
+            'stage.self_seconds{stage="reduced_solve"}' in snapshot["histograms"]
+        )
         assert snapshot["gauges"]["optimizer.reduced_variables"] > 0
 
     def test_fallback_triggers_when_utility_check_fails(self, small_problem):
@@ -216,7 +218,7 @@ class TestReducedSolve:
         assert allocation.is_feasible
         snapshot = metrics.snapshot()
         assert snapshot["counters"]["optimizer.fallbacks"] == 1
-        assert "optimizer.full_solve_seconds" in snapshot["histograms"]
+        assert 'stage.self_seconds{stage="full_solve"}' in snapshot["histograms"]
 
     def test_fallback_result_matches_plain_full_solve(self, small_problem):
         forced = solve_optimal(

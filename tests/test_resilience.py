@@ -29,7 +29,10 @@ from repro.runtime import (
     MetricsRegistry,
     SolverPool,
     SolveTask,
+    Tracer,
+    TracingOptions,
     degradation_fallbacks,
+    stage,
 )
 from repro.system import simulation_scene
 
@@ -356,14 +359,18 @@ class TestDeadlineCheckpoints:
             # stops it.  The pruned program would finish inside 50 ms.
             reduce=False,
             deadline=time.monotonic() + 0.05,
-            traced=True,
         )
-        outcome = SolverPool().solve_outcomes([task])[0]
+        tracer = Tracer(TracingOptions(seed=0))
+        root = tracer.start_trace("request")
+        with stage("allocation", parents=[root], tracer=tracer):
+            outcome = SolverPool().solve_outcomes([task])[0]
         assert outcome.deadline_exceeded
-        solves = [span for span in outcome.spans if span["name"] == "solve"]
-        assert [span["attributes"]["solver"] for span in solves] == [
+        solves = [
+            span for span in tracer.finished_spans() if span.name == "solve"
+        ]
+        assert [span.attributes["solver"] for span in solves] == [
             "optimal",
             "heuristic",
         ]
-        assert solves[0]["attributes"]["timed_out"] is True
-        assert "timed_out" not in solves[1]["attributes"]
+        assert solves[0].attributes["timed_out"] is True
+        assert "timed_out" not in solves[1].attributes

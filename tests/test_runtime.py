@@ -274,7 +274,15 @@ class TestSolverPool:
         SolverPool(metrics=metrics).solve_many(tasks[:3])
         snapshot = metrics.snapshot()
         assert snapshot["counters"]["pool.tasks"] == 3
-        assert snapshot["histograms"]["pool.solve_seconds"]["count"] == 3
+        solves = {
+            key: stats["count"]
+            for key, stats in snapshot["histograms"].items()
+            if key.startswith('stage.self_seconds{stage="solve[')
+        }
+        assert solves == {
+            'stage.self_seconds{stage="solve[heuristic]"}': 2,
+            'stage.self_seconds{stage="solve[greedy]"}': 1,
+        }
 
 
 # ----------------------------------------------------------------------
@@ -289,8 +297,6 @@ class TestMetrics:
         registry.gauge("cache_size").set(7)
         for value in (1.0, 2.0, 3.0, 4.0):
             registry.histogram("latency").observe(value)
-        with registry.timer("timed"):
-            pass
         snapshot = registry.snapshot()
         assert snapshot["counters"]["requests"] == 5
         assert snapshot["gauges"]["cache_size"] == 7
@@ -300,7 +306,6 @@ class TestMetrics:
         assert latency["min"] == 1.0
         assert latency["max"] == 4.0
         assert latency["p50"] == pytest.approx(2.5)
-        assert snapshot["histograms"]["timed"]["count"] == 1
 
     def test_histogram_percentiles(self):
         registry = MetricsRegistry()
@@ -721,9 +726,12 @@ class TestHealthSnapshot:
 
         def serve(worker):
             index = worker
-            while not stop.is_set():
-                service.handle(self._request(placements, index % 6))
-                index += 1
+            try:
+                while not stop.is_set():
+                    service.handle(self._request(placements, index % 6))
+                    index += 1
+            except Exception as exc:  # a dying worker must fail the test
+                errors.append(("serve", repr(exc)))
 
         def poll():
             while not stop.is_set():
@@ -748,6 +756,64 @@ class TestHealthSnapshot:
         for thread in threads:
             thread.join()
         assert not errors, errors[:3]
+
+
+    def test_concurrent_handle_shares_the_neighbor_memories(self):
+        # Four threads serving through one service insert into the
+        # placement and warm-start memories while the others scan them;
+        # a near-zero switch interval makes the interleaving likely.
+        import sys
+        import threading
+
+        placements = fig6_instances(instances=12, seed=5)
+        scene = simulation_scene(
+            [(float(x), float(y)) for x, y in placements[0]]
+        )
+        service = AllocationService(
+            scene,
+            options=ServiceOptions(
+                channel_cache_capacity=4,
+                allocation_cache_capacity=4,
+                neighborhood_memory=8,
+            ),
+        )
+        stop = threading.Event()
+        errors = []
+
+        def serve(worker):
+            index = worker
+            try:
+                while not stop.is_set():
+                    service.handle(
+                        AllocationRequest(
+                            rx_positions_xy=tuple(
+                                (float(x), float(y))
+                                for x, y in placements[index % 12]
+                            ),
+                            power_budget=1.2,
+                            solver="swing",
+                        )
+                    )
+                    index += 1
+            except Exception as exc:
+                errors.append(repr(exc))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=serve, args=(n,)) for n in range(4)
+            ]
+            for thread in threads:
+                thread.start()
+            time.sleep(0.5)
+            stop.set()
+            for thread in threads:
+                thread.join()
+        finally:
+            sys.setswitchinterval(interval)
+        assert not errors, errors[:3]
+        assert service.metrics.counter("service.requests").value > 12
 
 
 # ----------------------------------------------------------------------

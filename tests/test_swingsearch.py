@@ -191,8 +191,8 @@ class TestMetrics:
         counters = metrics.counters_with_prefix("optimizer.swing")
         assert counters.get("optimizer.swing.solves") == 1
         histograms = metrics.snapshot()["histograms"]
-        assert any("optimizer.swing.seed_seconds" in name for name in histograms)
-        assert any("optimizer.swing.search_seconds" in name for name in histograms)
+        assert 'stage.self_seconds{stage="swing_seed"}' in histograms
+        assert 'stage.self_seconds{stage="swing_search"}' in histograms
         assert any("optimizer.swing.iterations" in name for name in histograms)
 
 

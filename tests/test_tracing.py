@@ -1,10 +1,12 @@
 """Trace-correctness tests for repro.runtime.tracing.
 
 Covers the tentpole guarantees: span-tree parent/child integrity
-(including across the solver-pool process boundary), deterministic
-trace/span ids under a fixed seed, Chrome-trace export schema
-round-trip, sampling, bounded buffering -- and the regression that a
-disabled tracer leaves allocation outputs bit-identical.
+(including solves shared by several requests), the ``stage`` context
+that times every stage once and brackets its window into each sampled
+trace, deterministic trace/span ids under a fixed seed, Chrome-trace
+export schema round-trip, sampling, bounded buffering -- and the
+regression that a disabled tracer leaves allocation outputs
+bit-identical.
 """
 
 from __future__ import annotations
@@ -20,15 +22,16 @@ from repro.obs import TraceRecorder, TraceReplayer, replay_service
 from repro.runtime import (
     AllocationRequest,
     AllocationService,
+    Histogram,
     ServiceOptions,
     SolveTask,
     SolverPool,
-    SpanRecorder,
     Tracer,
     TracingOptions,
     add_span_attributes,
     channel_matrix_stack,
     current_span,
+    stage,
 )
 from repro.system import simulation_scene
 
@@ -80,8 +83,10 @@ class TestTracerCore:
     def test_disabled_tracer_creates_nothing(self):
         tracer = Tracer.disabled()
         assert tracer.start_trace("request") is None
-        with tracer.span("anything") as span:
-            assert span is None
+        assert tracer.start_span("anything", None) is None
+        with stage("anything", parents=[None], tracer=tracer) as window:
+            assert current_span() is None
+        assert window.spans == [None]
         assert tracer.finished_spans() == []
 
     def test_deterministic_ids_under_fixed_seed(self):
@@ -118,59 +123,96 @@ class TestTracerCore:
 
     def test_span_context_propagation(self):
         tracer = Tracer(TracingOptions(seed=5))
-        with tracer.span("outer") as outer:
-            assert current_span() is outer
+        root = tracer.start_trace("request")
+        with stage("outer", parents=[root], tracer=tracer) as outer:
+            outer_span = outer.spans[0]
+            assert current_span() is outer_span
             assert add_span_attributes(marker=1)
-            with tracer.span("inner") as inner:
-                assert inner.parent_id == outer.span_id
-                assert inner.trace_id == outer.trace_id
+            with stage("inner") as inner:
+                inner_span = inner.spans[0]
+                assert current_span() is inner_span
+                assert inner_span.parent_id == outer_span.span_id
+                assert inner_span.trace_id == outer_span.trace_id
+            assert current_span() is outer_span
         assert current_span() is None
         assert not add_span_attributes(ignored=True)
-        assert outer.attributes["marker"] == 1
+        assert outer_span.attributes["marker"] == 1
+        assert "marker" not in inner_span.attributes
 
 
-class TestRecorderPayload:
-    def test_payload_reattaches_with_remapped_ids(self):
-        recorder = SpanRecorder()
-        with recorder.span("solve", solver="heuristic"):
-            with recorder.span("nested"):
-                pass
-        payload = recorder.payload()
-        assert [entry["name"] for entry in payload] == ["solve", "nested"]
-        assert payload[1]["parent_id"] == payload[0]["span_id"]
-
+class TestStage:
+    def test_self_time_excludes_nested_stages(self):
         tracer = Tracer(TracingOptions(seed=1))
         root = tracer.start_trace("request")
-        tracer.attach_payload(payload, root, base_time=100.0)
-        tracer.finish(root)
-        spans = tracer.finished_spans()
-        assert_tree_integrity(spans)
-        solve = next(s for s in spans if s.name == "solve")
-        nested = next(s for s in spans if s.name == "nested")
-        assert solve.parent_id == root.span_id
-        assert nested.parent_id == solve.span_id
-        assert solve.span_id not in {"r0", "r1"}
-        assert solve.start >= 100.0
+        outer_histogram, inner_histogram = Histogram(), Histogram()
+        with stage(
+            "outer", outer_histogram, parents=[root], tracer=tracer
+        ) as outer:
+            with stage("inner", inner_histogram) as inner:
+                sum(range(1000))
+            sum(range(1000))
+        outer_span, inner_span = outer.spans[0], inner.spans[0]
+        assert inner_histogram.total == pytest.approx(
+            inner_span.duration, abs=1e-12
+        )
+        assert outer_histogram.total == pytest.approx(
+            outer_span.duration - inner_span.duration, abs=1e-12
+        )
+        assert inner_span.start >= outer_span.start
+        assert inner_span.end <= outer_span.end
 
-    def test_attach_is_per_trace_clone(self):
-        recorder = SpanRecorder()
-        with recorder.span("solve"):
-            pass
-        payload = recorder.payload()
+    def test_batched_window_lands_in_every_sampled_trace(self):
         tracer = Tracer(TracingOptions(seed=2))
         first = tracer.start_trace("request")
         second = tracer.start_trace("request")
-        tracer.attach_payload(payload, first)
-        tracer.attach_payload(payload, second)
-        tracer.finish(first)
-        tracer.finish(second)
-        solves = [s for s in tracer.finished_spans() if s.name == "solve"]
-        assert len(solves) == 2
-        assert solves[0].span_id != solves[1].span_id
-        assert {s.trace_id for s in solves} == {
-            first.trace_id,
-            second.trace_id,
-        }
+        histogram = Histogram()
+        with stage(
+            "channel", histogram, parents=[first, None, second],
+            tracer=tracer, path="computed",
+        ) as window:
+            assert add_span_attributes(marker=True)
+        one, skipped, two = window.spans
+        assert skipped is None
+        assert histogram.count == 1
+        assert (one.start, one.end) == (two.start, two.end)
+        assert one.span_id != two.span_id
+        assert (one.trace_id, two.trace_id) == (
+            first.trace_id, second.trace_id,
+        )
+        assert one.parent_id == first.span_id
+        for span in (one, two):
+            assert span.attributes == {"path": "computed", "marker": True}
+        assert len(tracer.finished_spans()) == 2
+
+    def test_untimed_stage_still_charges_its_parent(self):
+        outer_histogram = Histogram()
+        tracer = Tracer(TracingOptions(seed=3))
+        root = tracer.start_trace("request")
+        with stage(
+            "outer", outer_histogram, parents=[root], tracer=tracer
+        ) as outer:
+            with stage("inner") as inner:
+                sum(range(1000))
+        assert outer_histogram.total == pytest.approx(
+            outer.spans[0].duration - inner.spans[0].duration, abs=1e-12
+        )
+
+    def test_histogram_can_be_relabelled_inside_the_block(self):
+        hit, miss = Histogram(), Histogram()
+        with stage("allocation", hit) as window:
+            window.histogram = miss
+        assert (hit.count, miss.count) == (0, 1)
+
+    def test_raising_block_is_still_observed(self):
+        tracer = Tracer(TracingOptions(seed=4))
+        root = tracer.start_trace("request")
+        histogram = Histogram()
+        with pytest.raises(RuntimeError):
+            with stage("solve", histogram, parents=[root], tracer=tracer):
+                raise RuntimeError("boom")
+        assert histogram.count == 1
+        assert [s.name for s in tracer.finished_spans()] == ["solve"]
+        assert current_span() is None
 
 
 class TestServiceTracing:
@@ -269,12 +311,14 @@ class TestServiceTracing:
         pool = SolverPool()
         task = SolveTask(channel=channel, power_budget=1.2)
         plain = pool.solve_outcomes([task])[0]
-        traced = pool.solve_outcomes([SolveTask(
-            channel=channel, power_budget=1.2, traced=True
-        )])[0]
+        tracer = Tracer(TracingOptions(seed=13))
+        root = tracer.start_trace("request")
+        with stage("allocation", parents=[root], tracer=tracer):
+            traced = pool.solve_outcomes([task])[0]
         assert np.array_equal(plain.swings, traced.swings)
-        assert plain.spans == ()
-        assert [s["name"] for s in traced.spans] == ["solve"]
+        spans = tracer.finished_spans()
+        assert [s.name for s in spans] == ["solve", "allocation"]
+        assert spans[0].parent_id == spans[1].span_id
 
     def test_optimizer_introspection_lands_on_solve_span(
         self, scene, placements
@@ -322,9 +366,10 @@ class TestChromeTraceExport:
 
     def test_event_log_lines_parse(self, tmp_path):
         tracer = Tracer(TracingOptions(seed=22))
-        with tracer.span("request"):
-            with tracer.span("stage"):
-                pass
+        root = tracer.start_trace("request")
+        with stage("stage", parents=[root], tracer=tracer):
+            pass
+        tracer.finish(root)
         path = tmp_path / "events.jsonl"
         lines = tracer.export_events(str(path))
         assert len(lines) == 2
