@@ -7,7 +7,8 @@ Three comparisons on the paper's 36-TX / 4-RX Fig. 7 setup:
    rung, where the budget affords every TX and the plan keeps each
    TX's ranked pair.  At each budget the pruned solve must be >= 5x
    faster while landing within 1% of the full program's sum-log
-   utility.
+   utility.  The rows also record the mean SLSQP iterations per pruned
+   solve (the ``optimizer.slsqp_iterations`` histogram).
 2. Combinatorial swing search: the binary-swing local search
    (``repro.core.swingsearch``) against the SJR-pruned SLSQP tier --
    i.e. against the *accelerated* hot path, not the full program --
@@ -42,6 +43,7 @@ from repro.core import (
 )
 from repro.experiments.config import default_config
 from repro.experiments.scenarios import fig7_instance
+from repro.runtime import MetricsRegistry
 from repro.system import simulation_scene
 
 BUDGET = 1.2
@@ -218,14 +220,19 @@ def test_bench_optimizer(benchmark, record_rows):
         full = solve_optimal(budget_problem, OptimizerOptions(restarts=0))
         full_seconds = time.perf_counter() - start
 
+        metrics = MetricsRegistry()
         start = time.perf_counter()
         reduced = timed(
             lambda: solve_optimal(
-                budget_problem, OptimizerOptions(restarts=0, reduce=True)
+                budget_problem,
+                OptimizerOptions(restarts=0, reduce=True),
+                metrics=metrics,
             )
         )
         reduced_seconds = time.perf_counter() - start
         return {
+            # One SLSQP descent per pruned solve (restarts=0, no fallback).
+            "iterations": metrics.histogram("optimizer.slsqp_iterations").mean,
             "budget": budget_problem.power_budget,
             "full_seconds": full_seconds,
             "reduced_seconds": reduced_seconds,
@@ -309,6 +316,8 @@ def test_bench_optimizer(benchmark, record_rows):
             f"({num_vars} variables)",
             f"  SJR-pruned      {1e3 * solve['reduced_seconds']:8.2f} ms "
             f"(solver={solve['reduced'].solver})",
+            f"  SLSQP iters     {solve['iterations']:8.1f}  "
+            "(mean per pruned solve)",
             f"  speedup         {solve['speedup']:8.2f}x  (required: >= 5x)",
             f"  utility         {solve['full'].utility:.6f} full / "
             f"{solve['reduced'].utility:.6f} reduced",

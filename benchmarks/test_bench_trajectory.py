@@ -37,6 +37,7 @@ from repro.obs import (
     TraceReplayer,
     append_to_ledger,
     diff_reports,
+    environment_fingerprint,
     latest_report,
     load_ledger,
     replay_cluster,
@@ -86,17 +87,21 @@ def damped_replay(run, replayer, samples=SAMPLES):
     )
 
 
-def _matching_baseline(history, label, digest):
+def _matching_baseline(history, label, digest, cpu_count):
     """The slowest-throughput entry of the last 5 comparable runs.
 
     Entries whose stream digest differs belong to an older recording of
     the workload -- when a scenario legitimately changes and its trace
     is re-pinned, the next gate run bootstraps a fresh baseline instead
-    of refusing the diff forever.  Among comparable entries the gate
-    diffs against the *slowest* of the recent window, not the latest:
-    only passing runs append, so the ledger ratchets toward
-    fast-machine states, and a box that drifts 10-15% slower between
-    sessions must not read as a regression.  The failures being
+    of refusing the diff forever.  Entries recorded on a box with a
+    different ``environment.cpu_count`` are not comparable either: the
+    cluster replay runs a shard per CPU and a closed loop measures the
+    box, so a box with no entry for its own CPU count bootstraps its
+    own series instead of failing against another box's numbers.
+    Among comparable entries the gate diffs against the *slowest* of
+    the recent window, not the latest: only passing runs append, so the
+    ledger ratchets toward fast-machine states, and a box that drifts
+    10-15% slower between sessions must not read as a regression.  The failures being
     guarded (losing batching, caching, or a solver tier) cost multiples,
     not percents, and still trip the thresholds against the slowest
     recent accepted run.
@@ -104,7 +109,9 @@ def _matching_baseline(history, label, digest):
     comparable = [
         report
         for report in history
-        if report.label == label and report.stream_digest == digest
+        if report.label == label
+        and report.stream_digest == digest
+        and report.environment.get("cpu_count") == cpu_count
     ]
     if not comparable:
         return None
@@ -119,7 +126,12 @@ def _matching_baseline(history, label, digest):
 def test_bench_trajectory_gate(trace_name, label, run, record_rows):
     replayer = TraceReplayer.load(str(TRACES_DIR / trace_name))
     digest = replayer.stream_digest()
-    baseline = _matching_baseline(load_ledger(str(LEDGER)), label, digest)
+    baseline = _matching_baseline(
+        load_ledger(str(LEDGER)),
+        label,
+        digest,
+        environment_fingerprint()["cpu_count"],
+    )
 
     report = damped_replay(run, replayer)
     assert report.served + report.shed == replayer.requests
@@ -167,3 +179,39 @@ def test_trajectory_ledger_has_both_targets():
     assert {"service", "cluster"} <= targets
     labels = {report.label for report in history}
     assert {label for _, label, _ in GATES} <= labels
+
+
+def test_matching_baseline_keys_on_cpu_count():
+    def entry(cpu_count, rps, digest="d", label="service:led-outage"):
+        return PerfReport(
+            label=label,
+            target="service",
+            scenario="led-outage",
+            seed=0,
+            stream_digest=digest,
+            mode="closed",
+            requests=60,
+            served=60,
+            shed=0,
+            duration_seconds=0.03,
+            requests_per_second=rps,
+            p50_latency_ms=0.4,
+            p95_latency_ms=0.5,
+            environment={"cpu_count": cpu_count},
+        )
+
+    history = [
+        entry(1, 3000.0),
+        entry(2, 1800.0),
+        entry(1, 2500.0),
+        entry(2, 2100.0),
+        entry(2, 900.0, digest="old"),
+        entry(2, 800.0, label="cluster:mirror-nlos"),
+    ]
+    label = "service:led-outage"
+    # The slowest of the entries from a box with the same CPU count.
+    assert _matching_baseline(history, label, "d", 1) is history[2]
+    assert _matching_baseline(history, label, "d", 2) is history[1]
+    # A box with no entry for its CPU count bootstraps its own series.
+    assert _matching_baseline(history, label, "d", 4) is None
+    assert _matching_baseline(history, label, "new", 2) is None

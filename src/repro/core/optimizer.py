@@ -19,10 +19,13 @@ says the rest end at zero anyway), solves that reduced program, and
 expands the solution back to (N, M).  A utility check against the
 ranking heuristic -- whose solution lies inside the reduced feasible set
 by construction -- guards the shortcut: only if the reduced optimum fails
-it does the solver run the full-dimension program.  Constraints use
-preallocated structured Jacobians (the per-TX bound is a constant
-segment-indicator matrix; the power gradient fills a reusable buffer)
-built once per solve, not per start.  The prune / reduced / full
+it does the solver run the full-dimension program.  Eq. 6 reaches SLSQP
+only for TXs that own two or more variables: for a TX with one variable
+it is the box bound ``x <= 1``, so a pruned plan with one pair per TX
+sends the power row alone, while the full program keeps all N rows.
+Constraints use preallocated structured Jacobians (the Eq. 6 rows form a
+constant segment-indicator matrix; the power gradient fills a reusable
+buffer) built once per solve, not per start.  The prune / reduced / full
 sub-stages are timed by :class:`repro.tracecontext.stage`; their self
 times and the fallback counts flow into an optional metrics registry
 (:class:`repro.runtime.metrics.MetricsRegistry`-compatible).
@@ -128,10 +131,11 @@ class OptimizerOptions:
 class _Support:
     """Precomputed structure shared by every start of one solve.
 
-    Holds the active-variable index maps, the constant per-TX constraint
-    Jacobian, reusable gradient buffers and the bounds list -- everything
-    that used to be rebuilt per start (and, for the per-TX bound, as a
-    dense (N, N*M) matmul per SLSQP iteration).
+    Holds the active-variable index maps, the constant Eq. 6 Jacobian
+    (one row per TX owning two or more variables; a single-variable TX
+    is held by its box bound), reusable gradient buffers and the bounds
+    list -- everything that used to be rebuilt per start (and, for the
+    per-TX bound, as a dense (N, N*M) matmul per SLSQP iteration).
 
     ``plan=None`` means the full program: all N*M variables in TX-major
     order, so the same code path serves both solves.
@@ -172,12 +176,16 @@ class _Support:
         resistance = problem.led.dynamic_resistance
         budget = problem.power_budget
 
-        # Eq. 6: 1 - sum_k x[j, k] >= 0 per active TX.  The Jacobian is a
-        # constant segment-indicator matrix built once; the function is a
-        # segmented sum, not a dense matmul.
-        swing_jacobian = np.zeros((self.num_active, self.num_pairs))
-        swing_jacobian[self.local_tx, np.arange(self.num_pairs)] = -1.0
-        self._swing_jacobian = swing_jacobian
+        # Eq. 6: 1 - sum_k x[j, k] >= 0 per active TX.  For a TX that
+        # owns one variable this is its box bound x <= 1, so only TXs
+        # owning two or more variables get a row.  The Jacobian is a
+        # constant segment-indicator matrix over those rows, built once;
+        # the function is a segmented sum, not a dense matmul.
+        segment_sizes = np.diff(self.segment_starts, append=self.num_pairs)
+        shared = np.flatnonzero(segment_sizes >= 2)
+        self._swing_jacobian = np.where(
+            np.equal.outer(shared, self.local_tx), -1.0, 0.0
+        )
         self._power_grad_buffer = np.empty(self.num_pairs)
         power_coeff = resistance * max_swing * max_swing / 2.0
 
@@ -185,7 +193,7 @@ class _Support:
             return np.add.reduceat(x, self.segment_starts)
 
         def swing_constraint(x: np.ndarray) -> np.ndarray:
-            return 1.0 - per_tx_swing(x)
+            return 1.0 - per_tx_swing(x)[shared]
 
         def power_constraint(x: np.ndarray) -> float:
             totals = per_tx_swing(x) * max_swing
@@ -207,12 +215,15 @@ class _Support:
         self.per_tx_swing = per_tx_swing
         self.constraints = [
             {"type": "ineq", "fun": power_constraint, "jac": power_jacobian},
-            {
-                "type": "ineq",
-                "fun": swing_constraint,
-                "jac": lambda x: self._swing_jacobian,
-            },
         ]
+        if shared.size:
+            self.constraints.append(
+                {
+                    "type": "ineq",
+                    "fun": swing_constraint,
+                    "jac": lambda x: self._swing_jacobian,
+                }
+            )
         # Scatter target for the (K, M) active swing matrix; entries off
         # the support are structurally zero and never written.
         self._swing_matrix = np.zeros((self.num_active, num_rx))

@@ -44,7 +44,9 @@ class ReductionPlan:
 
     Variables are (TX, RX) pairs kept in TX-major order, so consecutive
     variables of one TX form a contiguous segment (which the optimizer's
-    structured constraint Jacobians rely on).
+    structured constraint Jacobians rely on).  A TX that keeps a single
+    pair gets no Eq. 6 row in the optimizer: its box bound is the same
+    inequality.
 
     Attributes:
         tx_indices: (P,) original TX index of each reduced variable.

@@ -52,10 +52,10 @@ THROUGHPUT_TOLERANCE = 0.10
 def environment_fingerprint() -> Dict[str, Any]:
     """Where a report's numbers came from: interpreter, host, libraries.
 
-    Perf numbers are only comparable within one environment; the gate
-    compares against the committed baseline regardless (thresholds are
-    sized for that), but the fingerprint makes cross-host entries in
-    the trajectory distinguishable after the fact.
+    Perf numbers are only comparable within one environment.  The
+    trajectory gate diffs only against entries with the same
+    ``cpu_count``; the rest of the fingerprint makes cross-host entries
+    in the trajectory distinguishable after the fact.
     """
     import numpy
 

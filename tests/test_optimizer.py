@@ -8,8 +8,10 @@ from repro.core import (
     ContinuousOptimizer,
     OptimizerOptions,
     RankingHeuristic,
+    ReductionPlan,
     solve_optimal,
 )
+from repro.core.optimizer import _Support
 from repro.errors import OptimizationError
 
 
@@ -327,3 +329,137 @@ class TestPruningDifferential:
                     rung, SwingSearchOptions(seed=options.seed, reduce=False)
                 )
                 self._assert_within_gap(pruned, unpruned, "swing search")
+
+
+class _EveryRowSupport(_Support):
+    """A ``_Support`` that sends one Eq. 6 row per active TX."""
+
+    def __init__(self, problem, options, plan):
+        super().__init__(problem, options, plan)
+        starts = self.segment_starts
+        jacobian = np.zeros((self.num_active, self.num_pairs))
+        jacobian[self.local_tx, np.arange(self.num_pairs)] = -1.0
+        self.constraints = self.constraints[:1] + [
+            {
+                "type": "ineq",
+                "fun": lambda x: 1.0 - np.add.reduceat(x, starts),
+                "jac": lambda x: jacobian,
+            }
+        ]
+
+
+class TestSwingRowPruning:
+    """Eq. 6 rows reach SLSQP only for TXs owning two or more variables.
+
+    For a TX with one variable, Eq. 6 is its box bound ``x <= 1``, so
+    the solver drops that row.  The slow reference sends every active
+    TX's row -- the per-TX segment-indicator constraint built from
+    ``support.segment_starts`` -- after the power row.  The feasible set
+    is the same, so ten placements of seed 3's Fig. 6 draw swept over
+    the coarse Fig. 9 rungs, cold, must land within 1e-9 relative
+    utility of the reference, with the serving options
+    (``restarts=0``) and with two restarts.
+
+    Wall time: about 15 s on a 2-vCPU x86 box.
+    """
+
+    RELATIVE_TOLERANCE = 1e-9
+    TOLERANCE = 1e-6
+    PLACEMENTS = 10
+    _assert_feasible = TestWarmSkipDifferential._assert_feasible
+
+    @staticmethod
+    def _swing_rows(support):
+        """The Eq. 6 Jacobian sent to SLSQP (no rows: shape (0, P))."""
+        x = np.full(support.num_pairs, 0.1)
+        rows = [
+            np.atleast_2d(constraint["jac"](x))
+            for constraint in support.constraints[1:]
+        ]
+        return np.vstack(rows) if rows else np.zeros((0, support.num_pairs))
+
+    @pytest.mark.parametrize("restarts", [0, 2])
+    def test_matches_every_row_reference(self, monkeypatch, restarts):
+        from repro.channel import channel_matrix
+        from repro.core import optimizer
+        from repro.experiments.config import default_config
+        from repro.experiments.scenarios import fig6_instances
+        from repro.runtime import MetricsRegistry
+
+        cfg = default_config()
+        options = OptimizerOptions(
+            restarts=restarts, seed=cfg.seed, reduce=True
+        )
+        metrics = MetricsRegistry()
+        for placement in fig6_instances(instances=self.PLACEMENTS, seed=3):
+            scene = cfg.simulation_scene_at(
+                tuple((float(x), float(y)) for x, y in placement)
+            )
+            channel = channel_matrix(scene)
+            for budget in cfg.coarse_budgets(12):
+                problem = AllocationProblem(
+                    channel=channel,
+                    power_budget=budget,
+                    led=cfg.led,
+                    photodiode=cfg.photodiode,
+                    noise=cfg.noise,
+                )
+                pruned = ContinuousOptimizer(options, metrics=metrics).solve(
+                    problem
+                )
+                with monkeypatch.context() as patch:
+                    patch.setattr(optimizer, "_Support", _EveryRowSupport)
+                    reference = solve_optimal(problem, options)
+                self._assert_feasible(pruned)
+                gap = abs(pruned.utility - reference.utility) / abs(
+                    reference.utility
+                )
+                assert gap <= self.RELATIVE_TOLERANCE, (
+                    f"budget {budget:.3f} W: utility {gap:.2e} from the "
+                    "every-row reference"
+                )
+        assert metrics.snapshot()["counters"].get("optimizer.fallbacks", 0) == 0
+
+    def test_one_pair_per_tx_sends_only_the_power_row(self, fig7_problem):
+        num_tx = fig7_problem.num_transmitters
+        plan = ReductionPlan(
+            tx_indices=np.arange(num_tx),
+            rx_indices=np.arange(num_tx) % fig7_problem.num_receivers,
+            active_txs=np.arange(num_tx),
+            num_transmitters=num_tx,
+            num_receivers=fig7_problem.num_receivers,
+        )
+        support = _Support(fig7_problem, OptimizerOptions(), plan)
+        assert len(support.constraints) == 1
+        assert self._swing_rows(support).shape == (0, num_tx)
+
+    def test_full_program_keeps_every_row(self, fig7_problem):
+        num_tx = fig7_problem.num_transmitters
+        num_rx = fig7_problem.num_receivers
+        assert num_rx == 4
+        support = _Support(fig7_problem, OptimizerOptions(), None)
+        rows = self._swing_rows(support)
+        assert rows.shape == (num_tx, num_tx * num_rx)
+        expected = -np.kron(np.eye(num_tx), np.ones(num_rx))
+        assert np.array_equal(rows, expected)
+
+    def test_coverage_pair_keeps_only_its_tx_row(self, fig7_problem):
+        num_tx = fig7_problem.num_transmitters
+        num_rx = fig7_problem.num_receivers
+        shared_tx = 5
+        tx = np.append(np.arange(num_tx), shared_tx)
+        rx = np.append(np.zeros(num_tx, dtype=int), 2)
+        plan = ReductionPlan(
+            tx_indices=tx,
+            rx_indices=rx,
+            active_txs=np.unique(tx),
+            num_transmitters=num_tx,
+            num_receivers=num_rx,
+        )
+        support = _Support(fig7_problem, OptimizerOptions(), plan)
+        rows = self._swing_rows(support)
+        assert rows.shape == (1, num_tx + 1)
+        owned = support.tx_indices == shared_tx
+        assert np.array_equal(rows[0], np.where(owned, -1.0, 0.0))
+        x = np.full(support.num_pairs, 0.3)
+        assert np.allclose(support.constraints[1]["fun"](x), [0.4])

@@ -311,6 +311,43 @@ class TestIncrementalChannel:
         rebuilt = channel_matrix(fig7_scene.with_receivers_at(positions))
         assert float(np.max(np.abs(updated - rebuilt))) <= 1e-12
 
+    def test_seeded_movers_match_full_rebuild_bitwise(self):
+        """Seeded Fig. 6 placements, every mover count 1..M, bit-identical."""
+        from repro.experiments.config import default_config
+        from repro.experiments.scenarios import fig6_instances
+
+        cfg = default_config()
+        rng = np.random.default_rng(11)
+        draw = fig6_instances(instances=12, seed=5)
+        cases = 0
+        for placement, target in zip(draw[:-1], draw[1:]):
+            positions = [(float(x), float(y)) for x, y in placement]
+            scene = cfg.simulation_scene_at(tuple(positions))
+            base = channel_matrix(scene)
+            num_rx = len(positions)
+            for count in range(1, num_rx + 1):
+                moved = sorted(
+                    int(k) for k in rng.choice(num_rx, count, replace=False)
+                )
+                new_positions = [
+                    (float(x), float(y))
+                    for x, y in target[rng.permutation(num_rx)[:count]]
+                ]
+                updated = channel_matrix_update(
+                    scene, base, new_positions, moved
+                )
+                rebuilt_positions = list(positions)
+                for slot, xy in zip(moved, new_positions):
+                    rebuilt_positions[slot] = xy
+                rebuilt = channel_matrix(
+                    cfg.simulation_scene_at(tuple(rebuilt_positions))
+                )
+                assert np.array_equal(updated, rebuilt), (
+                    f"movers {moved} of {positions}"
+                )
+                cases += 1
+        assert cases == 11 * 4
+
     def test_untouched_columns_are_shared_bitwise(self, fig7_scene):
         base = channel_matrix(fig7_scene)
         updated = channel_matrix_update(fig7_scene, base, [(1.5, 1.5)], [1])
