@@ -11,78 +11,15 @@ Two complementary halves:
 
 - **Dynamic** (:mod:`repro.analysis.lockgraph`): an opt-in lock-order
   race detector.  Runtime locks are created through
-  :func:`monitored_lock` (plain ``threading.Lock`` when disabled --
-  zero cost, bit-identical behavior); with a monitor enabled
-  (``REPRO_LOCK_MONITOR=1`` or :func:`lock_order_monitor`), per-thread
+  :func:`~repro.analysis.lockgraph.monitored_lock` (plain
+  ``threading.Lock`` when disabled -- zero cost, bit-identical
+  behavior); with a monitor enabled (``REPRO_LOCK_MONITOR=1`` or
+  :func:`~repro.analysis.lockgraph.lock_order_monitor`), per-thread
   acquisition edges build a lock graph whose cycles and held-lock
   blocking calls fail the chaos suite.
 
-The static machinery is stdlib-only and the lockgraph is a leaf module
-(like :mod:`repro.tracecontext`), so importing this package from the
-runtime adds no heavy dependencies.
+This package re-exports nothing: import from the submodules.  The
+lockgraph is a stdlib-only leaf module (like :mod:`repro.tracecontext`),
+so the runtime's ``monitored_lock`` import loads neither the rule
+engine nor its rules.
 """
-
-from .baseline import (
-    Baseline,
-    apply_baseline,
-    load_baseline,
-    violation_fingerprint,
-    write_baseline,
-)
-from .cache import AnalysisCache, engine_fingerprint
-from .contracts import DocsCatalog, parse_docs_catalog
-from .engine import (
-    AnalysisReport,
-    analyze_paths,
-    iter_python_files,
-    load_module,
-    run_lint,
-)
-from .sarif import sarif_report
-from .symbols import FileSymbols, MetricSite, SymbolTable, collect_symbols
-from .lockgraph import (
-    BlockingViolation,
-    InstrumentedLock,
-    LockOrderMonitor,
-    disable_lock_monitor,
-    enable_lock_monitor,
-    get_lock_monitor,
-    lock_order_monitor,
-    monitored_lock,
-)
-from .rules import ALL_RULES, ModuleInfo, Rule, Violation, rules_by_token
-
-__all__ = [
-    "ALL_RULES",
-    "AnalysisCache",
-    "AnalysisReport",
-    "Baseline",
-    "BlockingViolation",
-    "DocsCatalog",
-    "FileSymbols",
-    "InstrumentedLock",
-    "LockOrderMonitor",
-    "MetricSite",
-    "ModuleInfo",
-    "Rule",
-    "SymbolTable",
-    "Violation",
-    "analyze_paths",
-    "apply_baseline",
-    "collect_symbols",
-    "disable_lock_monitor",
-    "enable_lock_monitor",
-    "engine_fingerprint",
-    "get_lock_monitor",
-    "iter_python_files",
-    "load_baseline",
-    "load_module",
-    "lock_order_monitor",
-    "monitored_lock",
-    "parse_docs_catalog",
-    "run_lint",
-    "rules_by_token",
-    "sarif_report",
-    "violation_fingerprint",
-    "write_baseline",
-]

@@ -141,10 +141,6 @@ class MetricsContractRule(Rule):
         "match fnmatch-style, a/b shorthand expands)"
     )
 
-    #: project-scoped: verdicts depend on every file's call sites plus
-    #: the docs catalog.
-    scope = "project"
-
     def __init__(self) -> None:
         self.docs: Optional[DocsCatalog] = None
 

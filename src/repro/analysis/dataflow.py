@@ -167,8 +167,6 @@ class DeadlinePropagationRule(Rule):
     )
 
     MODULES = ("repro.runtime", "repro.cluster", "repro.obs", "repro.scenarios")
-    #: project-scoped: the symbol table contributes extra budget sinks.
-    scope = "project"
 
     def _sink_names(self, symbols: Optional[SymbolTable]) -> FrozenSet[str]:
         names = set(_STATIC_SINKS)

@@ -1,17 +1,16 @@
-"""File discovery, pragma handling and the ``repro lint`` entry point.
+"""The rule registry, file discovery, pragma handling and ``repro lint``.
 
-The engine turns paths into :class:`~repro.analysis.rules.ModuleInfo`
+:data:`ALL_RULES` lists the nine rules in report order.  The engine
+turns paths into :class:`~repro.analysis.rules.ModuleInfo`
 records, collects each file's symbol contribution into a cross-module
 :class:`~repro.analysis.symbols.SymbolTable`, runs every (selected)
 rule, filters violations through ``# repro: allow[rule]`` pragmas, and
 renders the report::
 
-    repro lint src tests              # scan, text report, exit 1 on findings
-    repro lint src --format json      # machine-readable report
-    repro lint --list-rules           # rule catalog
-    repro lint src --sarif out.sarif  # SARIF 2.1.0 for code scanning
-    repro lint src --baseline lint-baseline.json
-    repro lint src --cache .lint-cache.json
+    repro lint src tests benchmarks examples  # CI scan, exit 1 on findings
+    repro lint src --format json              # machine-readable report
+    repro lint src --rules R2,determinism     # a subset of the rules
+    repro lint --list-rules                   # rule catalog
 
 Pragmas suppress a rule on the line they sit on and on the line below,
 so both styles work::
@@ -32,11 +31,6 @@ in-tree modules.
 Directories named ``fixtures`` are skipped during discovery (they
 contain deliberate violations); linting a fixture file explicitly still
 works.
-
-Incremental caching (``--cache PATH`` or ``REPRO_LINT_CACHE``) keys
-each file's results on its content digest (see
-:mod:`repro.analysis.cache`); a warm run on a clean tree re-parses
-nothing.
 """
 
 from __future__ import annotations
@@ -48,34 +42,49 @@ import os
 import re
 import sys
 from dataclasses import dataclass
-from hashlib import blake2b
 from pathlib import Path
-from typing import (
-    Dict,
-    FrozenSet,
-    Iterable,
-    Iterator,
-    List,
-    Optional,
-    Sequence,
-    TextIO,
-    Tuple,
-)
+from typing import FrozenSet, Iterator, List, Optional, Sequence, TextIO, Tuple
 
-from .baseline import Baseline, apply_baseline, load_baseline, write_baseline
-from .cache import AnalysisCache, engine_fingerprint, file_digest
 from .contracts import MetricsContractRule, parse_docs_catalog
-from .rules import ALL_RULES, ModuleInfo, Rule, Violation, rules_by_token
-from .sarif import sarif_report
-from .symbols import FileSymbols, SymbolTable, collect_symbols
+from .dataflow import (
+    AsyncDisciplineRule,
+    DeadlinePropagationRule,
+    ExceptionPolicyRule,
+)
+from .rules import (
+    ApiTypingRule,
+    CacheImmutabilityRule,
+    DeterminismRule,
+    LayeringRule,
+    LockDisciplineRule,
+    ModuleInfo,
+    Rule,
+    Violation,
+)
+from .symbols import SymbolTable, collect_symbols
 
 __all__ = [
+    "ALL_RULES",
     "AnalysisReport",
     "analyze_paths",
     "iter_python_files",
     "load_module",
+    "rules_by_token",
     "run_lint",
 ]
+
+#: Every rule, in report order.
+ALL_RULES: Tuple[Rule, ...] = (
+    LayeringRule(),
+    LockDisciplineRule(),
+    DeterminismRule(),
+    CacheImmutabilityRule(),
+    ApiTypingRule(),
+    AsyncDisciplineRule(),
+    DeadlinePropagationRule(),
+    MetricsContractRule(),
+    ExceptionPolicyRule(),
+)
 
 _PRAGMA = re.compile(r"#\s*repro:\s*allow\[([^\]]+)\]")
 # Anchored to comment-only lines so source that merely *mentions* a
@@ -124,6 +133,23 @@ def iter_python_files(paths: Sequence[str]) -> Iterator[Path]:
             if candidate not in seen:
                 seen.add(candidate)
                 yield candidate
+
+
+def rules_by_token(tokens: Sequence[str]) -> Tuple[Rule, ...]:
+    """Resolve rule selectors (``R2`` / ``lock-discipline``) to rules."""
+    selected: List[Rule] = []
+    for token in tokens:
+        normalized = token.strip().lower()
+        matches = [
+            rule
+            for rule in ALL_RULES
+            if normalized in (rule.id.lower(), rule.name.lower())
+        ]
+        if not matches:
+            known = ", ".join(f"{r.id}/{r.name}" for r in ALL_RULES)
+            raise ValueError(f"unknown rule {token!r}; known rules: {known}")
+        selected.extend(m for m in matches if m not in selected)
+    return tuple(selected)
 
 
 def _infer_module(path: Path) -> "tuple[str, bool]":
@@ -214,12 +240,6 @@ class AnalysisReport:
     violations: "tuple[Violation, ...]"
     files_scanned: int
     parse_errors: "tuple[str, ...]" = ()
-    #: findings matched (and silenced) by the suppression baseline
-    suppressed: "tuple[Violation, ...]" = ()
-    #: baseline fingerprints no current finding reproduces
-    stale_baseline: "tuple[str, ...]" = ()
-    #: files served entirely from the incremental cache (no re-parse)
-    cache_hits: int = 0
 
     @property
     def clean(self) -> bool:
@@ -228,10 +248,7 @@ class AnalysisReport:
     def as_dict(self) -> dict:
         return {
             "files_scanned": self.files_scanned,
-            "cache_hits": self.cache_hits,
             "violations": [v.as_dict() for v in self.violations],
-            "suppressed": [v.as_dict() for v in self.suppressed],
-            "stale_baseline": list(self.stale_baseline),
             "parse_errors": list(self.parse_errors),
             "clean": self.clean,
         }
@@ -259,81 +276,32 @@ def _find_docs(files: Sequence[Path]) -> "Optional[Path]":
     return None
 
 
-@dataclass
-class _FileRecord:
-    path: Path
-    key: str
-    digest: str
-    symbols: FileSymbols
-    info: Optional[ModuleInfo] = None
-    from_cache: bool = False
-
-    def module_info(self) -> ModuleInfo:
-        if self.info is None:
-            self.info = load_module(self.path)
-        return self.info
-
-
 def analyze_paths(
     paths: Sequence[str],
     rules: Optional[Sequence[Rule]] = None,
     *,
-    cache_path: "Optional[str | Path]" = None,
     docs_path: "Optional[str | Path]" = None,
 ) -> AnalysisReport:
-    """Run *rules* (default: all) over every Python file under *paths*.
-
-    With *cache_path* set, unchanged files are served from the
-    incremental cache: their symbol contributions and local-rule
-    verdicts are reused without re-parsing, and project-rule verdicts
-    are reused while the cross-module symbol table, docs catalog and
-    ruleset stay unchanged.
-    """
+    """Run *rules* (default: all) over every Python file under *paths*."""
     active = tuple(rules) if rules is not None else ALL_RULES
-    cache = (
-        AnalysisCache(cache_path, engine_fingerprint())
-        if cache_path is not None
-        else None
-    )
 
     files = list(iter_python_files(paths))
     parse_errors: List[str] = []
-    records: List[_FileRecord] = []
+    infos: List[ModuleInfo] = []
     for path in files:
-        try:
-            data = path.read_bytes()
-        except OSError as error:
-            parse_errors.append(f"{path}:0: {error}")
-            continue
-        digest = file_digest(data)
-        key = str(path)
-        symbols = cache.symbols(key, digest) if cache is not None else None
-        if symbols is not None:
-            records.append(
-                _FileRecord(
-                    path=path, key=key, digest=digest, symbols=symbols,
-                    from_cache=True,
-                )
-            )
-            continue
         try:
             info = load_module(path)
         except SyntaxError as error:
             parse_errors.append(f"{path}:{error.lineno or 0}: {error.msg}")
             continue
-        file_symbols = collect_symbols(info.module, info.tree)
-        if cache is not None:
-            cache.store_symbols(key, digest, file_symbols)
-        records.append(
-            _FileRecord(
-                path=path, key=key, digest=digest, symbols=file_symbols,
-                info=info,
-            )
-        )
+        except OSError as error:
+            parse_errors.append(f"{path}:0: {error}")
+            continue
+        infos.append(info)
 
     table = SymbolTable()
-    for record in records:
-        table.add(record.key, record.symbols)
+    for info in infos:
+        table.add(info.path, collect_symbols(info.module, info.tree))
 
     # Docs drift is only meaningful against a representative catalog:
     # auto-discover the docs for directory scans, but not when linting
@@ -346,76 +314,34 @@ def analyze_paths(
         docs_file = _find_docs(files)
     else:
         docs_file = None
-    docs_digest = ""
     docs_catalog = None
     if docs_file is not None and docs_file.is_file():
-        docs_bytes = docs_file.read_bytes()
-        docs_digest = file_digest(docs_bytes)
         docs_catalog = parse_docs_catalog(
-            str(docs_file), docs_bytes.decode("utf-8")
+            str(docs_file), docs_file.read_text(encoding="utf-8")
         )
     for rule in active:
         if isinstance(rule, MetricsContractRule):
             rule.docs = docs_catalog
 
-    project_key = blake2b(
-        "|".join(
-            [table.digest(), docs_digest] + [rule.id for rule in active]
-        ).encode(),
-        digest_size=16,
-    ).hexdigest()
-
     violations: List[Violation] = []
-    for record in records:
-        served_from_cache = record.from_cache
+    for info in infos:
         for rule in active:
-            cached: Optional[Tuple[Violation, ...]] = None
-            if cache is not None:
-                if rule.scope == "project":
-                    cached = cache.project_violations(
-                        record.key, record.digest, project_key, rule.id
-                    )
-                else:
-                    cached = cache.local_violations(
-                        record.key, record.digest, rule.id
-                    )
-            if cached is not None:
-                violations.extend(cached)
-                continue
-            info = record.module_info()
-            found = tuple(
+            violations.extend(
                 violation
                 for violation in rule.check(info, table)
                 if not _allowed(info, violation)
             )
-            served_from_cache = False
-            violations.extend(found)
-            if cache is not None:
-                if rule.scope == "project":
-                    cache.store_project(
-                        record.key, record.digest, project_key, rule.id,
-                        found,
-                    )
-                else:
-                    cache.store_local(
-                        record.key, record.digest, rule.id, found
-                    )
-        record.from_cache = served_from_cache
 
-    # Whole-project findings (e.g. R8's docs-reverse drift) are cheap
-    # -- symbol table and docs only -- so they always run live.
+    # Whole-project findings (e.g. R8's docs-reverse drift) read only
+    # the symbol table and the docs.
     for rule in active:
         violations.extend(rule.finalize(table))
-
-    if cache is not None:
-        cache.save()
 
     violations.sort(key=lambda v: (v.path, v.line, v.rule, v.message))
     return AnalysisReport(
         violations=tuple(violations),
-        files_scanned=len(records),
+        files_scanned=len(infos),
         parse_errors=tuple(parse_errors),
-        cache_hits=sum(1 for record in records if record.from_cache),
     )
 
 
@@ -424,20 +350,11 @@ def _render_text(report: AnalysisReport, stream: TextIO) -> None:
         stream.write(f"{error} [parse-error]\n")
     for violation in report.violations:
         stream.write(violation.render() + "\n")
-    for fingerprint in report.stale_baseline:
-        stream.write(
-            f"stale baseline entry {fingerprint} (finding no longer "
-            "reproduced; delete it from the baseline)\n"
-        )
     summary = (
         f"{len(report.violations)} violation(s), "
         f"{len(report.parse_errors)} parse error(s) across "
         f"{report.files_scanned} file(s)"
     )
-    if report.suppressed:
-        summary += f"; {len(report.suppressed)} baseline-suppressed"
-    if report.cache_hits:
-        summary += f"; {report.cache_hits} file(s) from cache"
     stream.write(("" if report.clean else "\n") + summary + "\n")
 
 
@@ -446,9 +363,8 @@ def run_lint(
 ) -> int:
     """The ``repro lint`` subcommand; returns the process exit code.
 
-    Exit codes: 0 clean (baseline-suppressed findings do not fail the
-    run), 1 new violations or parse errors found, 2 usage errors
-    (unknown rule, missing path, unreadable baseline).
+    Exit codes: 0 clean, 1 violations or parse errors found, 2 usage
+    errors (unknown rule, missing path).
     """
     parser = argparse.ArgumentParser(
         prog="repro lint",
@@ -471,30 +387,6 @@ def run_lint(
         "--list-rules", action="store_true",
         help="print the rule catalog and exit",
     )
-    parser.add_argument(
-        "--sarif", default=None, metavar="PATH",
-        help="additionally write a SARIF 2.1.0 report ('-' for stdout)",
-    )
-    parser.add_argument(
-        "--baseline", default=None, metavar="PATH",
-        help="suppression baseline (lint-baseline.json); findings "
-        "fingerprinted there are reported as suppressed, not failures",
-    )
-    parser.add_argument(
-        "--write-baseline", action="store_true",
-        help="rewrite the --baseline file from this run's findings "
-        "and exit 0",
-    )
-    parser.add_argument(
-        "--cache", default=os.environ.get("REPRO_LINT_CACHE") or None,
-        metavar="PATH",
-        help="incremental analysis cache file (default: "
-        "$REPRO_LINT_CACHE, else no caching)",
-    )
-    parser.add_argument(
-        "--no-cache", action="store_true",
-        help="disable the incremental cache even if configured",
-    )
     args = parser.parse_args(argv)
 
     if args.list_rules:
@@ -516,65 +408,8 @@ def run_lint(
             file=sys.stderr,
         )
         return 2
-    if args.write_baseline and not args.baseline:
-        print(
-            "repro lint: error: --write-baseline requires --baseline PATH",
-            file=sys.stderr,
-        )
-        return 2
 
-    baseline: Optional[Baseline] = None
-    if args.baseline and not args.write_baseline:
-        baseline_path = Path(args.baseline)
-        if baseline_path.exists():
-            try:
-                baseline = load_baseline(baseline_path)
-            except (ValueError, OSError) as error:
-                print(
-                    f"repro lint: error: unreadable baseline: {error}",
-                    file=sys.stderr,
-                )
-                return 2
-
-    cache_path = None if args.no_cache else args.cache
-    report = analyze_paths(args.paths, rules=rules, cache_path=cache_path)
-
-    if args.write_baseline:
-        written = write_baseline(args.baseline, report.violations)
-        stream.write(
-            f"wrote {len(written.entries)} baseline entr"
-            f"{'y' if len(written.entries) == 1 else 'ies'} to "
-            f"{args.baseline}\n"
-        )
-        return 0
-
-    if baseline is not None:
-        fresh, suppressed, stale = apply_baseline(
-            report.violations, baseline
-        )
-        report = AnalysisReport(
-            violations=fresh,
-            files_scanned=report.files_scanned,
-            parse_errors=report.parse_errors,
-            suppressed=suppressed,
-            stale_baseline=stale,
-            cache_hits=report.cache_hits,
-        )
-
-    if args.sarif:
-        active = rules if rules is not None else ALL_RULES
-        document = sarif_report(
-            report.violations,
-            active,
-            suppressed=report.suppressed,
-            parse_errors=report.parse_errors,
-            base_dir=Path.cwd(),
-        )
-        rendered = json.dumps(document, indent=2, sort_keys=True) + "\n"
-        if args.sarif == "-":
-            stream.write(rendered)
-        else:
-            Path(args.sarif).write_text(rendered, encoding="utf-8")
+    report = analyze_paths(args.paths, rules=rules)
 
     if args.format == "json":
         stream.write(json.dumps(report.as_dict(), indent=2, sort_keys=True) + "\n")

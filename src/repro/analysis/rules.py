@@ -43,10 +43,9 @@ R9   exception-policy    broad ``except`` in serving-layer decision
                          (:mod:`repro.analysis.dataflow`)
 ===  ==================  ===================================================
 
-Rules R1/R7/R8 are *project-scoped*: :meth:`Rule.check` additionally
-receives the cross-module :class:`~repro.analysis.symbols.SymbolTable`
-and their cached results are invalidated when any file's symbol
-contribution changes, not just their own file.
+Rules R1/R7/R8 are *project-scoped*: their :meth:`Rule.check` reads
+the cross-module :class:`~repro.analysis.symbols.SymbolTable`, not just
+their own file.
 """
 
 from __future__ import annotations
@@ -67,13 +66,7 @@ from typing import (
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .symbols import SymbolTable
 
-__all__ = [
-    "ALL_RULES",
-    "ModuleInfo",
-    "Rule",
-    "Violation",
-    "rules_by_token",
-]
+__all__ = ["ModuleInfo", "Rule", "Violation"]
 
 
 @dataclass(frozen=True)
@@ -124,18 +117,11 @@ class ModuleInfo:
 
 
 class Rule:
-    """Base class: an identified, named check over one module.
-
-    ``scope`` drives incremental caching: a ``"local"`` rule's verdict
-    on a file depends only on that file's content; a ``"project"``
-    rule also reads the cross-module symbol table (and, for R8, the
-    docs catalog), so its cached results are keyed on those too.
-    """
+    """Base class: an identified, named check over one module."""
 
     id: str = ""
     name: str = ""
     description: str = ""
-    scope: str = "local"
 
     def check(
         self, info: ModuleInfo, symbols: "Optional[SymbolTable]" = None
@@ -282,10 +268,6 @@ class LayeringRule(Rule):
                 "through duck-typed protocols (SLOObserver) and let "
                 "obs call down, never the reverse",
             )
-
-    #: project-scoped: the symbol table's module index resolves
-    #: ``from repro import scenarios``-style imports.
-    scope = "project"
 
     def check(
         self, info: ModuleInfo, symbols: "Optional[SymbolTable]" = None
@@ -646,44 +628,3 @@ class ApiTypingRule(Rule):
                         owner=node.name,
                         skip_first=not self._is_static(member),
                     )
-
-
-# The dataflow (R6/R7/R9) and contract (R8) rules live in sibling
-# modules that import the base classes above; the import sits below
-# every definition they need, so the cycle resolves cleanly.
-from .contracts import MetricsContractRule  # noqa: E402
-from .dataflow import (  # noqa: E402
-    AsyncDisciplineRule,
-    DeadlinePropagationRule,
-    ExceptionPolicyRule,
-)
-
-#: Every rule, in report order.
-ALL_RULES: Tuple[Rule, ...] = (
-    LayeringRule(),
-    LockDisciplineRule(),
-    DeterminismRule(),
-    CacheImmutabilityRule(),
-    ApiTypingRule(),
-    AsyncDisciplineRule(),
-    DeadlinePropagationRule(),
-    MetricsContractRule(),
-    ExceptionPolicyRule(),
-)
-
-
-def rules_by_token(tokens: Sequence[str]) -> Tuple[Rule, ...]:
-    """Resolve rule selectors (``R2`` / ``lock-discipline``) to rules."""
-    selected: List[Rule] = []
-    for token in tokens:
-        normalized = token.strip().lower()
-        matches = [
-            rule
-            for rule in ALL_RULES
-            if normalized in (rule.id.lower(), rule.name.lower())
-        ]
-        if not matches:
-            known = ", ".join(f"{r.id}/{r.name}" for r in ALL_RULES)
-            raise ValueError(f"unknown rule {token!r}; known rules: {known}")
-        selected.extend(m for m in matches if m not in selected)
-    return tuple(selected)

@@ -12,18 +12,13 @@ re-walking every other file:
   parameter as an additional budget sink.
 - **R8** checks each file's metric call sites against the global
   catalog (kind conflicts, label drift, reads of never-written names).
-
-``FileSymbols`` round-trips through plain dicts so the incremental
-cache can persist per-file contributions and rebuild the table without
-re-parsing unchanged files.
 """
 
 from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from hashlib import blake2b
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 __all__ = [
     "FileSymbols",
@@ -62,22 +57,6 @@ class MetricSite:
     labels: Optional[Tuple[str, ...]]  # None when built from **kwargs
     line: int
 
-    def as_list(self) -> list:
-        return [
-            self.name, self.kind, self.access,
-            list(self.labels) if self.labels is not None else None,
-            self.line,
-        ]
-
-    @staticmethod
-    def from_list(raw: Sequence) -> "MetricSite":
-        name, kind, access, labels, line = raw
-        return MetricSite(
-            name=name, kind=kind, access=access,
-            labels=tuple(labels) if labels is not None else None,
-            line=int(line),
-        )
-
 
 @dataclass(frozen=True)
 class FileSymbols:
@@ -86,23 +65,6 @@ class FileSymbols:
     module: str
     metric_sites: Tuple[MetricSite, ...] = ()
     deadline_funcs: Tuple[str, ...] = ()
-
-    def as_dict(self) -> dict:
-        return {
-            "module": self.module,
-            "metric_sites": [site.as_list() for site in self.metric_sites],
-            "deadline_funcs": list(self.deadline_funcs),
-        }
-
-    @staticmethod
-    def from_dict(raw: dict) -> "FileSymbols":
-        return FileSymbols(
-            module=raw["module"],
-            metric_sites=tuple(
-                MetricSite.from_list(site) for site in raw["metric_sites"]
-            ),
-            deadline_funcs=tuple(raw["deadline_funcs"]),
-        )
 
 
 def _parent_map(tree: ast.AST) -> Dict[ast.AST, ast.AST]:
@@ -271,12 +233,3 @@ class SymbolTable:
             if site.access in ("write", "register"):
                 writers.setdefault(site.name, []).append((path, module, site))
         return writers
-
-    def digest(self) -> str:
-        """Content digest of the whole table, for cache keying."""
-        h = blake2b(digest_size=16)
-        for path in sorted(self.files):
-            symbols = self.files[path]
-            h.update(path.encode())
-            h.update(repr(symbols.as_dict()).encode())
-        return h.hexdigest()

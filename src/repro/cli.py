@@ -395,9 +395,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     argv = list(argv)
     if argv and argv[0] == "lint":
         # `repro lint` owns its own argument parser (paths, --format,
-        # --rules, --list-rules, --sarif, --baseline, --cache) so its
-        # --help stays self-contained.
-        from .analysis import run_lint
+        # --rules, --list-rules) so its --help stays self-contained.
+        from .analysis.engine import run_lint
 
         return run_lint(argv[1:])
 

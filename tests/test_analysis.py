@@ -2,8 +2,7 @@
 
 Covers the `repro lint` exit-code contract, both report formats, pragma
 suppression (including across decorator stacks), the
-module-impersonation directive, the cross-module symbol table, the
-incremental cache, SARIF rendering, the suppression baseline, and --
+module-impersonation directive, the cross-module symbol table, and --
 via the fixture files under tests/fixtures/analysis -- that each rule
 R1-R9 fires on a deliberate violation while the real tree stays silent.
 """
@@ -20,17 +19,16 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import (
+from repro.analysis.contracts import parse_docs_catalog
+from repro.analysis.engine import (
     ALL_RULES,
     AnalysisReport,
     analyze_paths,
-    collect_symbols,
-    load_baseline,
     load_module,
-    parse_docs_catalog,
-    run_lint,
     rules_by_token,
+    run_lint,
 )
+from repro.analysis.symbols import collect_symbols
 from repro.cli import main as cli_main
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -62,6 +60,18 @@ def lint(argv):
 
 
 class TestCleanTree:
+    def test_ci_path_set_is_clean(self):
+        # Exactly the CI invocation: one run over every linted tree, so
+        # the project-scoped rules (R1, R7, R8) see the whole symbol
+        # table and benchmarks/ and examples/ are held to the rules too.
+        paths = [
+            str(REPO_ROOT / name)
+            for name in ("src", "tests", "benchmarks", "examples")
+        ]
+        code, output = lint(paths)
+        assert code == 0, output
+        assert "0 violation(s), 0 parse error(s)" in output
+
     def test_src_is_clean(self):
         code, output = lint([str(SRC)])
         assert code == 0, output
@@ -192,8 +202,7 @@ class TestCliContract:
         assert code == 1
         payload = json.loads(output)
         assert set(payload) == {
-            "cache_hits", "clean", "files_scanned", "parse_errors",
-            "stale_baseline", "suppressed", "violations",
+            "clean", "files_scanned", "parse_errors", "violations",
         }
         assert payload["clean"] is False
         assert payload["files_scanned"] == 1
@@ -534,249 +543,6 @@ class TestDecoratedPragmas:
         assert code == 0, output
 
 
-class TestSarifOutput:
-    def _sarif_for(self, tmp_path, argv_extra=()):
-        out = tmp_path / "lint.sarif"
-        code, _ = lint(
-            [str(FIXTURES / "violate_layering.py"), "--sarif", str(out)]
-            + list(argv_extra)
-        )
-        return code, json.loads(out.read_text())
-
-    def test_sarif_document_shape(self, tmp_path):
-        code, document = self._sarif_for(tmp_path)
-        assert code == 1
-        assert document["version"] == "2.1.0"
-        assert document["$schema"].endswith("sarif-2.1.0.json")
-        (run,) = document["runs"]
-        driver = run["tool"]["driver"]
-        assert driver["name"] == "repro-lint"
-        rule_ids = [rule["id"] for rule in driver["rules"]]
-        assert [f"R{n}" for n in range(1, 10)] == rule_ids[:9]
-        (result,) = run["results"]
-        assert result["ruleId"] == "R1"
-        assert result["level"] == "error"
-        assert driver["rules"][result["ruleIndex"]]["id"] == "R1"
-        location = result["locations"][0]["physicalLocation"]
-        assert location["artifactLocation"]["uri"].endswith(
-            "violate_layering.py"
-        )
-        assert location["region"]["startLine"] > 0
-
-    def test_sarif_validates_against_schema_subset(self, tmp_path):
-        jsonschema = pytest.importorskip("jsonschema")
-        _, document = self._sarif_for(tmp_path)
-        # The load-bearing subset of the SARIF 2.1.0 schema: the
-        # properties GitHub code scanning rejects uploads without.
-        schema = {
-            "type": "object",
-            "required": ["version", "runs"],
-            "properties": {
-                "version": {"const": "2.1.0"},
-                "runs": {
-                    "type": "array",
-                    "minItems": 1,
-                    "items": {
-                        "type": "object",
-                        "required": ["tool", "results"],
-                        "properties": {
-                            "tool": {
-                                "type": "object",
-                                "required": ["driver"],
-                                "properties": {
-                                    "driver": {
-                                        "type": "object",
-                                        "required": ["name"],
-                                    }
-                                },
-                            },
-                            "results": {
-                                "type": "array",
-                                "items": {
-                                    "type": "object",
-                                    "required": ["ruleId", "message"],
-                                    "properties": {
-                                        "message": {
-                                            "type": "object",
-                                            "required": ["text"],
-                                        },
-                                        "level": {
-                                            "enum": [
-                                                "none", "note",
-                                                "warning", "error",
-                                            ]
-                                        },
-                                    },
-                                },
-                            },
-                        },
-                    },
-                },
-            },
-        }
-        jsonschema.validate(document, schema)
-
-    def test_parse_errors_surface_in_sarif(self, tmp_path):
-        bad = tmp_path / "broken.py"
-        bad.write_text("def broken(:\n")
-        out = tmp_path / "lint.sarif"
-        code, _ = lint([str(bad), "--sarif", str(out)])
-        assert code == 1
-        document = json.loads(out.read_text())
-        (result,) = document["runs"][0]["results"]
-        assert result["ruleId"] == "parse-error"
-
-    def test_sarif_to_stdout(self):
-        code, output = lint(
-            [str(FIXTURES / "violate_layering.py"), "--sarif", "-",
-             "--format", "json"]
-        )
-        assert code == 1
-        # stream carries the SARIF document then the json report.
-        assert output.count('"2.1.0"') == 1
-
-
-class TestBaseline:
-    def test_write_then_suppress_roundtrip(self, tmp_path):
-        baseline = tmp_path / "lint-baseline.json"
-        fixture = str(FIXTURES / "violate_determinism.py")
-        code, output = lint(
-            [fixture, "--baseline", str(baseline), "--write-baseline"]
-        )
-        assert code == 0
-        assert "4 baseline entries" in output
-        loaded = load_baseline(baseline)
-        assert len(loaded.entries) == 4
-        for entry in loaded.entries.values():
-            assert entry["rule"] == "R3"
-            assert entry["count"] == 1
-
-        code, output = lint([fixture, "--baseline", str(baseline)])
-        assert code == 0, output
-        assert "4 baseline-suppressed" in output
-        assert "0 violation(s)" in output
-
-    def test_new_findings_still_fail_with_baseline(self, tmp_path):
-        baseline = tmp_path / "lint-baseline.json"
-        determinism = str(FIXTURES / "violate_determinism.py")
-        lint([determinism, "--baseline", str(baseline), "--write-baseline"])
-        # A different fixture's findings are not in the baseline.
-        code, output = lint(
-            [
-                determinism, str(FIXTURES / "violate_layering.py"),
-                "--baseline", str(baseline),
-            ]
-        )
-        assert code == 1
-        assert "R1[layering]" in output
-        assert "baseline-suppressed" in output
-
-    def test_stale_entries_report_but_pass(self, tmp_path):
-        baseline = tmp_path / "lint-baseline.json"
-        baseline.write_text(
-            json.dumps(
-                {
-                    "version": 1,
-                    "entries": {
-                        "deadbeefdeadbeefdeadbeef": {
-                            "rule": "R3", "name": "determinism",
-                            "path": "gone.py", "message": "fixed long ago",
-                            "count": 1,
-                        }
-                    },
-                }
-            )
-        )
-        code, output = lint(
-            [str(SRC / "repro" / "tracecontext.py"),
-             "--baseline", str(baseline)]
-        )
-        assert code == 0, output
-        assert "stale baseline entry deadbeefdeadbeefdeadbeef" in output
-
-    def test_committed_baseline_is_empty_and_tree_is_clean(self):
-        committed = load_baseline(REPO_ROOT / "lint-baseline.json")
-        assert committed.entries == {}
-
-    def test_unreadable_baseline_is_usage_error(self, tmp_path):
-        baseline = tmp_path / "lint-baseline.json"
-        baseline.write_text("{\"version\": 99}")
-        code, _ = lint(
-            [str(FIXTURES / "violate_layering.py"),
-             "--baseline", str(baseline)]
-        )
-        assert code == 2
-
-
-class TestIncrementalCache:
-    def _project(self, tmp_path, sleeper="time.sleep(dt)"):
-        project = tmp_path / "proj"
-        project.mkdir(exist_ok=True)
-        (project / "clean.py").write_text(
-            "# repro: module=repro.runtime.fixture_clean\n"
-            "def _ok(x) -> int:\n"
-            "    return x\n"
-        )
-        (project / "dirty.py").write_text(
-            "# repro: module=repro.cluster.fixture_dirty\n"
-            "import time\n"
-            "async def pace(dt):\n"
-            f"    {sleeper}\n"
-        )
-        return project
-
-    def test_warm_run_serves_everything_from_cache(self, tmp_path):
-        project = self._project(tmp_path)
-        cache = tmp_path / "cache.json"
-        cold = analyze_paths([str(project)], cache_path=cache)
-        assert cold.cache_hits == 0
-        assert len(cold.violations) == 1  # R6 on dirty.py
-
-        warm = analyze_paths([str(project)], cache_path=cache)
-        assert warm.cache_hits == warm.files_scanned == 2
-        assert warm.violations == cold.violations
-
-    def test_edited_file_is_reanalyzed(self, tmp_path):
-        project = self._project(tmp_path)
-        cache = tmp_path / "cache.json"
-        analyze_paths([str(project)], cache_path=cache)
-        # Fix the violation; only dirty.py should re-analyze.
-        self._project(tmp_path, sleeper="await asyncio.sleep(dt)")
-        repaired = analyze_paths([str(project)], cache_path=cache)
-        assert repaired.violations == ()
-        assert repaired.cache_hits == 1
-
-    def test_cacheless_runs_unaffected(self, tmp_path):
-        project = self._project(tmp_path)
-        report = analyze_paths([str(project)])
-        assert report.cache_hits == 0
-        assert len(report.violations) == 1
-
-    def test_cache_results_identical_for_project_rules(self, tmp_path):
-        # Project-scoped rules (R7 via symbol-table sinks) must
-        # invalidate when *another* file changes their inputs.
-        (tmp_path / "caller.py").write_text(
-            "# repro: module=repro.runtime.fixture_caller\n"
-            "def _serve(tasks, deadline_seconds):\n"
-            "    budget = Deadline.after(deadline_seconds)\n"
-            "    return stage(tasks)\n"
-        )
-        cache = tmp_path / "cache.json"
-        first = analyze_paths([str(tmp_path / "caller.py")], cache_path=cache)
-        assert first.violations == ()  # stage() is not a known sink yet
-
-        (tmp_path / "stages.py").write_text(
-            "# repro: module=repro.runtime.fixture_stages\n"
-            "def stage(tasks, deadline=None) -> None:\n"
-            "    return None\n"
-        )
-        second = analyze_paths(
-            [str(tmp_path / "caller.py"), str(tmp_path / "stages.py")],
-            cache_path=cache,
-        )
-        assert any(v.rule == "R7" for v in second.violations)
-
-
 class TestUsageErrors:
     def test_unknown_rule_lists_all_nine(self, capsys):
         code = run_lint([str(SRC), "--rules", "R99"], stream=io.StringIO())
@@ -785,8 +551,26 @@ class TestUsageErrors:
         for rule in ALL_RULES:
             assert rule.id in stderr and rule.name in stderr
 
-    def test_write_baseline_requires_baseline_path(self):
-        code = run_lint(
-            [str(SRC), "--write-baseline"], stream=io.StringIO()
+
+class TestImportIsolation:
+    def test_runtime_does_not_load_the_rule_engine(self):
+        # The runtime needs only monitored_lock from the stdlib-only
+        # lockgraph leaf; importing it must not pull in the analyzer.
+        probe = (
+            "import sys, repro.runtime\n"
+            "loaded = sorted(m for m in sys.modules\n"
+            "                if m.startswith('repro.analysis.'))\n"
+            "print(','.join(loaded))\n"
         )
-        assert code == 2
+        result = subprocess.run(
+            [sys.executable, "-c", probe],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+            cwd=str(REPO_ROOT),
+        )
+        assert result.returncode == 0, result.stderr
+        loaded = set(result.stdout.strip().split(","))
+        assert "repro.analysis.lockgraph" in loaded
+        assert "repro.analysis.engine" not in loaded
+        assert "repro.analysis.rules" not in loaded
