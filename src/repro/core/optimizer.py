@@ -9,7 +9,22 @@ perturb it randomly.  The best feasible local optimum wins.
 
 Variables are the scaled swings ``x[j, k] = I_sw[j, k] / I_sw,max`` in
 ``[0, 1]``; constraints are the per-TX total-swing bound (Eq. 6, linear)
-and the total-power budget (Eq. 7, quadratic).
+and the total-power budget (Eq. 7, quadratic).  A pruned plan in which
+every active TX owns exactly one variable (the program Insight 1
+licenses) is solved in the power domain instead, in ``q = x**2``: the
+received amplitudes and the Eq. 7 power are linear in ``q``, so the
+budget is one linear row, and the result maps back as ``x = sqrt(q)``.
+The full program and plans where a TX owns two pairs stay in ``x``.
+
+Starts: in ``x``, and in ``q`` while the budget affords fewer full-swing
+TXs than there are RXs, the anchor is the heuristic's structure shrunk
+to ``0.8 * b + 5e-3`` (in the solve's own variables) and every start is
+scaled uniformly to ``budget_headroom`` of the budget.  In ``q`` from
+one full-swing TX per RX up -- where Insight 2 puts a near-binary
+optimum -- the anchor is the heuristic's binary point, and the anchor
+and the warm start get a ``1e-3`` floor and are fitted to the budget by
+shedding ``q`` from the pairs with the smallest marginal utility first.
+Perturbed restarts are drawn in ``x`` either way.
 
 Acceleration layer (see :mod:`repro.core.reduction`): with
 ``OptimizerOptions(reduce=True)`` the solver first prunes the variable
@@ -36,7 +51,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 from scipy import optimize
@@ -52,6 +67,10 @@ from .reduction import ReductionPlan, plan_reduction
 #: its start (SLSQP ends within ~1e-9 of a stationary start).
 _STALL_TOLERANCE = 1e-6
 
+#: Floor [q = x**2] of the binary anchor and the warm start in the power
+#: domain: every pair starts interior to its box.
+_Q_FLOOR = 1e-3
+
 
 @dataclass(frozen=True)
 class OptimizerOptions:
@@ -63,8 +82,10 @@ class OptimizerOptions:
         tolerance: SLSQP convergence tolerance.
         utility_floor: throughput floor [bit/s] inside the log utility.
         seed: RNG seed for the perturbed starts.
-        budget_headroom: fraction of the budget the initial points use
-            (starting strictly inside the power constraint helps SLSQP).
+        budget_headroom: fraction of the budget the uniformly scaled
+            initial points use (starting strictly inside the power
+            constraint helps SLSQP); starts fitted by shedding (see the
+            module docstring) fill the budget.
         reduce: solve the SJR-pruned reduced program first, falling back
             to the full program when its utility check fails.
         reduction_margin: safety margin on the budget-affordable prefix
@@ -73,7 +94,7 @@ class OptimizerOptions:
         reduction_utility_slack: absolute utility slack below the
             ranking-heuristic reference that triggers the fallback.
         warm_start: optional (N, M) swing matrix [A] used as the first
-            initial point (scaled into the budget interior); this is how
+            initial point (fitted to the budget like the anchor); this is how
             the serving layer and mobility sweeps seed SLSQP from the
             nearest cached allocation.
         deadline: optional absolute :func:`time.monotonic` timestamp;
@@ -139,7 +160,19 @@ class _Support:
 
     ``plan=None`` means the full program: all N*M variables in TX-major
     order, so the same code path serves both solves.
+
+    Variables are the scaled swings ``x`` unless ``power_domain`` is
+    set: a pruned plan in which every active TX owns exactly one
+    variable is solved in ``q = x**2``.  There the quarter swings
+    ``q * (I_sw,max / 2)**2`` and the Eq. 7 power ``r * (I_sw,max / 2)**2
+    * sum(q)`` are linear, so the budget is one row with a constant
+    Jacobian.  :meth:`restrict` and :meth:`expand` take and return
+    scaled swings in either domain.  ``allow_power_domain = False`` in a
+    subclass keeps every plan in ``x`` (the reference the power domain
+    is checked against).
     """
+
+    allow_power_domain = True
 
     def __init__(
         self,
@@ -183,6 +216,28 @@ class _Support:
         # the function is a segmented sum, not a dense matmul.
         segment_sizes = np.diff(self.segment_starts, append=self.num_pairs)
         shared = np.flatnonzero(segment_sizes >= 2)
+        self.power_domain = bool(
+            self.allow_power_domain and plan is not None and not shared.size
+        )
+        # Scatter target for the (K, M) active swing (x) or quarter-swing
+        # (q) matrix; entries off the support are structurally zero and
+        # never written.
+        self._swing_matrix = np.zeros((self.num_active, num_rx))
+        #: (I_sw,max / 2)**2: the quarter swing of q = 1.
+        self.quarter_max = (max_swing / 2.0) ** 2
+        #: Eq. 7 power of q = 1, i.e. one TX at full swing [W].
+        self.unit_power = resistance * self.quarter_max
+        if self.power_domain:
+            power_jacobian_q = np.full(self.num_pairs, -self.unit_power)
+            self.constraints = [
+                {
+                    "type": "ineq",
+                    "fun": lambda q: budget - self.power(q),
+                    "jac": lambda q: power_jacobian_q,
+                }
+            ]
+            return
+
         self._swing_jacobian = np.where(
             np.equal.outer(shared, self.local_tx), -1.0, 0.0
         )
@@ -224,24 +279,39 @@ class _Support:
                     "jac": lambda x: self._swing_jacobian,
                 }
             )
-        # Scatter target for the (K, M) active swing matrix; entries off
-        # the support are structurally zero and never written.
-        self._swing_matrix = np.zeros((self.num_active, num_rx))
 
     def active_swings(self, x: np.ndarray, max_swing: float) -> np.ndarray:
         """The (K, M) swing matrix of a reduced point (shared buffer)."""
         self._swing_matrix[self.local_tx, self.rx_indices] = x * max_swing
         return self._swing_matrix
 
-    def expand(self, x: np.ndarray, num_tx: int, num_rx: int) -> np.ndarray:
-        """Scatter a reduced point to the full (N, M) matrix."""
+    def active_quarters(self, q: np.ndarray) -> np.ndarray:
+        """The (K, M) quarter-swing matrix of a q point (shared buffer)."""
+        quarters = q * self.quarter_max
+        self._swing_matrix[self.local_tx, self.rx_indices] = quarters
+        return self._swing_matrix
+
+    def power(self, q: np.ndarray) -> float:
+        """Eq. 7 power [W] of a q point."""
+        return self.unit_power * float(q.sum())
+
+    def expand(self, v: np.ndarray, num_tx: int, num_rx: int) -> np.ndarray:
+        """Scatter a reduced point to the full (N, M) scaled-swing matrix."""
         full = np.zeros((num_tx, num_rx))
-        full[self.tx_indices, self.rx_indices] = x
+        full[self.tx_indices, self.rx_indices] = (
+            np.sqrt(v) if self.power_domain else v
+        )
         return full
 
+    def to_domain(self, x: np.ndarray) -> np.ndarray:
+        """The solve's variables (x, or q = x**2) of reduced scaled swings."""
+        return x * x if self.power_domain else x
+
     def restrict(self, matrix: np.ndarray) -> np.ndarray:
-        """Gather the reduced coordinates of a full (N, M) matrix."""
-        return np.asarray(matrix, dtype=float)[self.tx_indices, self.rx_indices]
+        """The reduced point of a full (N, M) scaled-swing matrix."""
+        return self.to_domain(
+            np.asarray(matrix, dtype=float)[self.tx_indices, self.rx_indices]
+        )
 
 
 class ContinuousOptimizer:
@@ -422,10 +492,13 @@ class ContinuousOptimizer:
                     f"warm start shape {warm.shape} does not match problem "
                     f"shape {problem.channel.shape}"
                 )
+            point = support.restrict(warm / max_swing)
             starts.append(
-                self._fit_budget(
-                    problem, support.restrict(warm / max_swing), support, options
+                self._shed_to_budget(
+                    problem, np.maximum(point, _Q_FLOOR), support, options
                 )
+                if self._sheds(problem, support)
+                else self._fit_budget(problem, point, support, options)
             )
             if skip_dominated and problem.utility(warm) >= heuristic.utility:
                 # The warm start already dominates the ranking anchor:
@@ -449,8 +522,8 @@ class ContinuousOptimizer:
                 # land lower, where the full start set would not.  Fall
                 # back to the anchor and restarts when the lone warm
                 # descent ended infeasible, or never left its start --
-                # the utility gradient of a swing is proportional to
-                # the swing, so a warm point with zero entries cannot
+                # in x the utility gradient of a swing is proportional
+                # to the swing, so a warm point with zero entries cannot
                 # switch on the beamspots a larger budget affords.
                 if self.metrics is not None:
                     self.metrics.counter("optimizer.skip_fallbacks").increment()
@@ -493,17 +566,66 @@ class ContinuousOptimizer:
     ) -> List[np.ndarray]:
         """The ranking-heuristic anchor plus its perturbed restarts."""
         rng = np.random.default_rng(options.seed)
-        # Heuristic structure, scaled into the budget interior.
-        base = support.restrict(heuristic.swings / problem.led.max_swing)
-        seeded = base * 0.8 + 5e-3
-        points = [self._fit_budget(problem, seeded, support, options)]
+        scaled = heuristic.swings / problem.led.max_swing
+        base = support.restrict(scaled)
+        if self._sheds(problem, support):
+            # Insight 2's regime: start at the heuristic's binary point.
+            anchor = self._shed_to_budget(
+                problem, np.maximum(base, _Q_FLOOR), support, options
+            )
+        else:
+            # Heuristic structure, scaled into the budget interior.  The
+            # floor sits in the solve's own variables: squared from x
+            # (2.5e-5 in q) it lets low-budget solves settle on optima
+            # that serve one RX.
+            anchor = self._fit_budget(
+                problem, base * 0.8 + 5e-3, support, options
+            )
+        points = [anchor]
 
-        # Perturbed restarts.
+        # Perturbed restarts, drawn around the anchor in x.
+        seeded = scaled[support.tx_indices, support.rx_indices] * 0.8 + 5e-3
         for _ in range(options.restarts):
             noise = rng.uniform(0.0, 0.3, size=support.num_pairs)
-            candidate = np.clip(seeded + noise, 1e-4, 1.0)
+            candidate = support.to_domain(np.clip(seeded + noise, 1e-4, 1.0))
             points.append(self._fit_budget(problem, candidate, support, options))
         return points
+
+    @staticmethod
+    def _sheds(problem: AllocationProblem, support: _Support) -> bool:
+        """Whether starts are fitted by shedding rather than scaling.
+
+        In the power domain, once the budget affords one full-swing TX
+        per RX, where the optimum is near binary (Insight 2).
+        """
+        return support.power_domain and (
+            problem.max_affordable_transmitters >= problem.num_receivers
+        )
+
+    def _shed_to_budget(
+        self,
+        problem: AllocationProblem,
+        q: np.ndarray,
+        support: _Support,
+        options: OptimizerOptions,
+    ) -> np.ndarray:
+        """Fit a q point to the budget, shedding the least useful power.
+
+        Power is linear in q, so the excess comes off the pairs with the
+        smallest marginal utility dU/dq first, each down to the floor --
+        one gradient evaluation and a sort -- instead of scaling every
+        pair.  The floors alone fit: shedding runs only once the budget
+        affords ``sum(q) >= M``, and N floors sum to ``N * 1e-3``.
+        """
+        q = np.clip(q, 0.0, 1.0)
+        excess = float(q.sum()) - problem.power_budget / support.unit_power
+        if excess <= 0.0:
+            return q
+        _, negated_marginals = self._objective(problem, support, options)(q)
+        order = np.argsort(-negated_marginals, kind="stable")
+        room = np.maximum(q[order] - _Q_FLOOR, 0.0)
+        q[order] -= np.clip(excess - (np.cumsum(room) - room), 0.0, room)
+        return q
 
     def _fit_budget(
         self,
@@ -514,6 +636,11 @@ class ContinuousOptimizer:
     ) -> np.ndarray:
         """Scale a candidate so it strictly satisfies both constraints."""
         x = np.clip(np.asarray(x, dtype=float), 0.0, 1.0)
+        target = problem.power_budget * options.budget_headroom
+        if support.power_domain:
+            # One variable per TX in [0, 1]: Eq. 6 holds, power is linear.
+            power = support.power(x)
+            return x * (target / power) if power > target > 0.0 else x
         per_tx = support.per_tx_swing(x)
         overflow = per_tx.max(initial=0.0)
         if overflow > 1.0:
@@ -526,21 +653,19 @@ class ContinuousOptimizer:
                 * (per_tx * max_swing / 2.0) ** 2
             )
         )
-        target = problem.power_budget * options.budget_headroom
         if power > target > 0.0:
             # Power is quadratic in the swing scale.
             x = x * math.sqrt(target / power)
         return x
 
-    def _solve_from(
+    def _objective(
         self,
         problem: AllocationProblem,
-        x0: np.ndarray,
         support: _Support,
         options: OptimizerOptions,
-    ) -> Optional[np.ndarray]:
-        num_tx = problem.num_transmitters
-        num_rx = problem.num_receivers
+        trajectory: Optional[List[float]] = None,
+    ) -> Callable[[np.ndarray], Tuple[float, np.ndarray]]:
+        """Negated Eq. 5 utility and its gradient in the solve's variables."""
         max_swing = problem.led.max_swing
         channel = support.channel_active
         scale = (
@@ -555,19 +680,19 @@ class ContinuousOptimizer:
         local_tx = support.local_tx
         rx_indices = support.rx_indices
         deadline = options.deadline
-        # Objective trajectory only accrues when a trace span is active
-        # (the list append would be waste on the untraced hot path).
-        trajectory: Optional[List[float]] = (
-            [] if self._trajectory is not None else None
-        )
+        power_domain = support.power_domain
+        quarter_max = support.quarter_max
 
-        def objective(x: np.ndarray) -> Tuple[float, np.ndarray]:
+        def objective(v: np.ndarray) -> Tuple[float, np.ndarray]:
             # The solve's one deadline checkpoint: evaluations are at
             # most tens of milliseconds apart.
             if deadline is not None and time.monotonic() >= deadline:
                 raise DeadlineExceeded("SLSQP passed its deadline")
-            swings = support.active_swings(x, max_swing)
-            quarter = (swings / 2.0) ** 2
+            if power_domain:
+                quarter = support.active_quarters(v)
+            else:
+                swings = support.active_swings(v, max_swing)
+                quarter = (swings / 2.0) ** 2
             amplitudes = scale * channel.T @ quarter  # (M, M)
             signal = np.diag(amplitudes).copy()
             interference = amplitudes.sum(axis=1) - signal
@@ -589,12 +714,32 @@ class ContinuousOptimizer:
                 channel * (w_direct - w_interf)[None, :]
                 + total_interf[:, None]
             )
-            grad_swing = grad_q * (swings / 2.0)
-            gradient = grad_swing[local_tx, rx_indices] * max_swing
+            if power_domain:
+                gradient = grad_q[local_tx, rx_indices] * quarter_max
+            else:
+                grad_swing = grad_q * (swings / 2.0)
+                gradient = grad_swing[local_tx, rx_indices] * max_swing
             return -value, -gradient
 
+        return objective
+
+    def _solve_from(
+        self,
+        problem: AllocationProblem,
+        x0: np.ndarray,
+        support: _Support,
+        options: OptimizerOptions,
+    ) -> Optional[np.ndarray]:
+        num_tx = problem.num_transmitters
+        num_rx = problem.num_receivers
+        max_swing = problem.led.max_swing
+        # Objective trajectory only accrues when a trace span is active
+        # (the list append would be waste on the untraced hot path).
+        trajectory: Optional[List[float]] = (
+            [] if self._trajectory is not None else None
+        )
         result = optimize.minimize(
-            objective,
+            self._objective(problem, support, options, trajectory),
             x0,
             jac=True,
             method="SLSQP",

@@ -276,7 +276,9 @@ class SolverPool:
         """Fall down the degradation chain and return the best cheaper solve.
 
         Fallbacks keep the task's deadline, and one that would start
-        past it is skipped.  The last resort (always the heuristic)
+        past it is skipped.  A fallback that leaves a reachable RX (a
+        nonzero channel column) at zero swing also counts under
+        ``pool.degraded_starving``.  The last resort (always the heuristic)
         runs without the deadline: the caller must get an answer even
         when the budget is spent, flagged ``deadline_exceeded``.
         """
@@ -301,6 +303,16 @@ class SolverPool:
             self.metrics.counter(
                 "pool.degraded", requested=task.solver, fallback=fallback
             ).increment()
+            # A cheaper tier can light fewer RXs than the budget could
+            # serve (the binary tiers below M full-swing TXs): count the
+            # fallbacks that leave a reachable RX at zero swing.
+            reachable = np.any(task.channel > 0.0, axis=0)
+            if np.any(reachable & ~np.any(swings > 0.0, axis=0)):
+                self.metrics.counter(
+                    "pool.degraded_starving",
+                    requested=task.solver,
+                    fallback=fallback,
+                ).increment()
             if expired:
                 self.metrics.counter("resilience.deadline_expirations").increment()
             return SolveOutcome(

@@ -136,18 +136,21 @@ class TestWarmSkipDifferential:
     ladder without the skip.  Each rung of both must match a cold solve
     of the same budget: feasible, and at most 1.8% (the paper's
     heuristic cost) below it in utility.  The options are the serving
-    tier's (``restarts=0``, ``reduce=True``).  The placements are four
-    of seed 0's Fig. 6 draw, picked so that both ways the skip can go
-    wrong occur: at 6 and 7 the lone warm descent ends infeasible on
-    some rung, and at 4 and 6 it never leaves its start and would end
-    3-6% below the cold solve.
+    tier's (``restarts=0``, ``reduce=True``) on four of seed 0's Fig. 6
+    placements.  The skip's fallback -- taken when the lone warm descent
+    ends infeasible or never leaves its start, and would end below the
+    cold solve -- no longer fires there: the pruned one-pair-per-TX
+    program is solved in the power domain, where a warm descent leaves
+    its start.  So the full program (``reduce=False``) walks the same
+    ladder at placement 4, where it fires at 1.41 and 1.95 W.
 
-    Wall time: about 3 s on a 2-vCPU x86 box.
+    Wall time: about 11 s on a 2-vCPU x86 box.
     """
 
     MAX_GAP = 0.018
     TOLERANCE = 1e-6
     PLACEMENTS = (4, 6, 7, 9)
+    FULL_PROGRAM_PLACEMENTS = (4,)
 
     def _assert_feasible(self, allocation):
         from repro.illumination.dimming import max_swing_for_bias
@@ -186,10 +189,13 @@ class TestWarmSkipDifferential:
         cfg = default_config()
         budgets = list(cfg.coarse_budgets(12))
         options = OptimizerOptions(restarts=0, seed=cfg.seed, reduce=True)
+        full = replace(options, reduce=False)
         ladder_metrics = MetricsRegistry()
+        full_metrics = MetricsRegistry()
         sweep_metrics = MetricsRegistry()
         draw = fig6_instances(instances=max(self.PLACEMENTS) + 1, seed=0)
-        for placement in draw[list(self.PLACEMENTS)]:
+        for index in self.PLACEMENTS:
+            placement = draw[index]
             scene = cfg.simulation_scene_at(
                 tuple((float(x), float(y)) for x, y in placement)
             )
@@ -203,17 +209,27 @@ class TestWarmSkipDifferential:
             sweep = ContinuousOptimizer(options, metrics=sweep_metrics).sweep(
                 problem, budgets
             )
-            previous = None
-            for budget, swept in zip(budgets, sweep):
-                scoped = problem.with_budget(budget)
-                warm = ContinuousOptimizer(
-                    replace(options, warm_start=previous), metrics=ladder_metrics
-                ).solve(scoped)
-                previous = warm.swings
-                cold = solve_optimal(scoped, options)
-                self._assert_matches_cold(warm, cold, "warm ladder")
-                self._assert_matches_cold(swept, cold, "sweep")
+            ladders = [(options, ladder_metrics, sweep)]
+            if index in self.FULL_PROGRAM_PLACEMENTS:
+                ladders.append((full, full_metrics, None))
+            for ladder_options, metrics, swept_rungs in ladders:
+                previous = None
+                for rung, budget in enumerate(budgets):
+                    scoped = problem.with_budget(budget)
+                    warm = ContinuousOptimizer(
+                        replace(ladder_options, warm_start=previous),
+                        metrics=metrics,
+                    ).solve(scoped)
+                    previous = warm.swings
+                    cold = solve_optimal(scoped, ladder_options)
+                    self._assert_matches_cold(warm, cold, "warm ladder")
+                    if swept_rungs is not None:
+                        self._assert_matches_cold(
+                            swept_rungs[rung], cold, "sweep"
+                        )
         counters = ladder_metrics.snapshot()["counters"]
+        assert counters["optimizer.starts_skipped"] > 0
+        counters = full_metrics.snapshot()["counters"]
         assert counters["optimizer.starts_skipped"] > 0
         assert counters["optimizer.skip_fallbacks"] > 0
         # The figure path never skips.
@@ -463,3 +479,91 @@ class TestSwingRowPruning:
         assert np.array_equal(rows[0], np.where(owned, -1.0, 0.0))
         x = np.full(support.num_pairs, 0.3)
         assert np.allclose(support.constraints[1]["fun"](x), [0.4])
+
+
+class _XDomainSupport(_Support):
+    """A ``_Support`` that solves every plan in the scaled swings ``x``."""
+
+    allow_power_domain = False
+
+
+class TestPowerDomainDifferential:
+    """One-pair-per-TX plans solved in ``q = x**2`` against ``x``.
+
+    The power domain changes the variables SLSQP walks and the starts it
+    walks from (the heuristic's binary point and the warm start fitted
+    by shedding the least useful power, or a floor in ``q`` below one
+    full-swing TX per RX), not the program.  The slow reference keeps
+    every plan in ``x`` with today's starts (:class:`_XDomainSupport`).
+    Ten placements of seeds 0 and 3's Fig. 6 draws run the coarse Fig. 9
+    rungs with the serving options (``restarts=0``, ``reduce=True``):
+    cold, down a warm-started ladder from the top rung and up one from
+    the bottom, each rung seeded from the ladder's previous answer.
+    Every allocation must be feasible and no more than 1e-9 relative
+    utility below the reference on the same rung of the same walk.
+
+    Wall time: about 18 s on a 2-vCPU x86 box.
+    """
+
+    RELATIVE_TOLERANCE = 1e-9
+    TOLERANCE = 1e-6
+    PLACEMENTS = 10
+    _assert_feasible = TestWarmSkipDifferential._assert_feasible
+
+    @staticmethod
+    def _walk(problem, budgets, options, warm):
+        """Solve *budgets* in order, warm-starting each from the last."""
+        from dataclasses import replace
+
+        previous = None
+        for budget in budgets:
+            allocation = ContinuousOptimizer(
+                replace(options, warm_start=previous)
+            ).solve(problem.with_budget(budget))
+            if warm:
+                previous = allocation.swings
+            yield allocation
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_never_below_the_x_domain(self, monkeypatch, seed):
+        from repro.channel import channel_matrix
+        from repro.core import optimizer
+        from repro.experiments.config import default_config
+        from repro.experiments.scenarios import fig6_instances
+
+        cfg = default_config()
+        budgets = list(cfg.coarse_budgets(12))
+        options = OptimizerOptions(restarts=0, seed=cfg.seed, reduce=True)
+        walks = {
+            "cold": (budgets, False),
+            "top-down": (budgets[::-1], True),
+            "bottom-up": (budgets, True),
+        }
+        for placement in fig6_instances(instances=self.PLACEMENTS, seed=seed):
+            scene = cfg.simulation_scene_at(
+                tuple((float(x), float(y)) for x, y in placement)
+            )
+            problem = AllocationProblem(
+                channel=channel_matrix(scene),
+                power_budget=budgets[-1],
+                led=cfg.led,
+                photodiode=cfg.photodiode,
+                noise=cfg.noise,
+            )
+            for label, (ladder, warm) in walks.items():
+                solved = list(self._walk(problem, ladder, options, warm))
+                with monkeypatch.context() as patch:
+                    patch.setattr(optimizer, "_Support", _XDomainSupport)
+                    references = list(
+                        self._walk(problem, ladder, options, warm)
+                    )
+                for allocation, reference in zip(solved, references):
+                    assert allocation.solver == "slsqp-reduced"
+                    self._assert_feasible(allocation)
+                    loss = (reference.utility - allocation.utility) / abs(
+                        reference.utility
+                    )
+                    assert loss <= self.RELATIVE_TOLERANCE, (
+                        f"{label} {allocation.problem.power_budget:.3f} W: "
+                        f"utility {loss:.2e} below the x domain"
+                    )

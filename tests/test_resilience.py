@@ -278,6 +278,53 @@ class TestPoolResilience:
         assert outcome.solver == "heuristic"
 
 
+class TestStarvingDegradation:
+    """Degradations that leave a reachable RX unserved are counted.
+
+    SLSQP fails on one Fig. 6 placement, so ``swing`` answers.  On the
+    lowest Fig. 9 rung (0.0541 W) the budget affords one full-swing TX,
+    so swing lights one of the four RXs; at 0.8 W it affords 14 and
+    serves all four.
+    """
+
+    @pytest.fixture
+    def failing_optimal(self, monkeypatch):
+        from repro.errors import OptimizationError
+        from repro.runtime import pool
+
+        def fail(task, metrics=None):
+            raise OptimizationError("injected non-convergence")
+
+        monkeypatch.setitem(pool.SOLVERS, "optimal", fail)
+
+    @pytest.mark.parametrize("rung, starving", [("lowest", 1), (0.8, 0)])
+    def test_counter_moves_only_when_a_receiver_starves(
+        self, fig6_channels, failing_optimal, rung, starving
+    ):
+        from repro.experiments.config import default_config
+
+        scene, _, stack = fig6_channels
+        lowest = default_config().coarse_budgets(12)[0]
+        budget = lowest if rung == "lowest" else rung
+        task = SolveTask(
+            channel=stack[0],
+            power_budget=budget,
+            solver="optimal",
+            led=scene.led,
+            photodiode=scene.receivers[0].photodiode,
+        )
+        metrics = MetricsRegistry()
+        outcome = SolverPool(metrics).solve_outcomes([task])[0]
+        assert outcome.degraded
+        assert outcome.solver == "swing"
+        assert np.all(stack[0].any(axis=0))
+        served = int(np.count_nonzero(outcome.swings.any(axis=0)))
+        assert served == (1 if starving else 4)
+        counters = metrics.snapshot()["counters"]
+        key = 'pool.degraded_starving{fallback="swing",requested="optimal"}'
+        assert counters.get(key, 0) == starving
+
+
 # ----------------------------------------------------------------------
 # Solver deadline checkpoints
 # ----------------------------------------------------------------------
