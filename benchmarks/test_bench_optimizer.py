@@ -1,4 +1,4 @@
-"""Solver-acceleration benchmark: pruned SLSQP, swing search, channels.
+"""Solver-acceleration benchmark: pruned solves, swing search, channels.
 
 Three comparisons on the paper's 36-TX / 4-RX Fig. 7 setup:
 
@@ -7,8 +7,11 @@ Three comparisons on the paper's 36-TX / 4-RX Fig. 7 setup:
    rung, where the budget affords every TX and the plan keeps each
    TX's ranked pair.  At each budget the pruned solve must be >= 5x
    faster while landing within 1% of the full program's sum-log
-   utility.  The rows also record the mean SLSQP iterations per pruned
-   solve (the ``optimizer.slsqp_iterations`` histogram).
+   utility.  The rows also record each pruned solve's descents: the
+   mean projected Newton iterations (``optimizer.newton_iterations``),
+   the descents handed to SLSQP (``optimizer.newton_handoffs``) and the
+   mean SLSQP iterations of the descents SLSQP ran
+   (``optimizer.slsqp_iterations``; none when every descent is Newton's).
 2. Combinatorial swing search: the binary-swing local search
    (``repro.core.swingsearch``) against the SJR-pruned SLSQP tier --
    i.e. against the *accelerated* hot path, not the full program --
@@ -230,9 +233,16 @@ def test_bench_optimizer(benchmark, record_rows):
             )
         )
         reduced_seconds = time.perf_counter() - start
+        snapshot = metrics.snapshot()
+
+        def _mean(name):
+            return snapshot["histograms"].get(name, {}).get("mean")
+
         return {
-            # One SLSQP descent per pruned solve (restarts=0, no fallback).
-            "iterations": metrics.histogram("optimizer.slsqp_iterations").mean,
+            # One descent per pruned solve (restarts=0, no fallback).
+            "newton": _mean("optimizer.newton_iterations"),
+            "handoffs": snapshot["counters"].get("optimizer.newton_handoffs", 0),
+            "slsqp": _mean("optimizer.slsqp_iterations"),
             "budget": budget_problem.power_budget,
             "full_seconds": full_seconds,
             "reduced_seconds": reduced_seconds,
@@ -308,6 +318,9 @@ def test_bench_optimizer(benchmark, record_rows):
     channel_speedup = rebuild_seconds / update_seconds
     channel_error = max(channel_error, paper_error)
 
+    def _iterations(mean):
+        return "    none" if mean is None else f"{mean:8.1f}"
+
     rows = ["# Solver acceleration: SJR pruning + incremental channels"]
     for solve in solves:
         rows += [
@@ -316,8 +329,10 @@ def test_bench_optimizer(benchmark, record_rows):
             f"({num_vars} variables)",
             f"  SJR-pruned      {1e3 * solve['reduced_seconds']:8.2f} ms "
             f"(solver={solve['reduced'].solver})",
-            f"  SLSQP iters     {solve['iterations']:8.1f}  "
-            "(mean per pruned solve)",
+            f"  Newton iters    {_iterations(solve['newton'])}  "
+            f"(mean per pruned solve; {solve['handoffs']:.0f} handed to SLSQP)",
+            f"  SLSQP iters     {_iterations(solve['slsqp'])}  "
+            "(mean per SLSQP descent)",
             f"  speedup         {solve['speedup']:8.2f}x  (required: >= 5x)",
             f"  utility         {solve['full'].utility:.6f} full / "
             f"{solve['reduced'].utility:.6f} reduced",

@@ -1,11 +1,13 @@
 """Continuous solver for the optimal allocation policy (paper Sec. 3.4).
 
 The paper solves program (5)-(7) with Matlab's ``fmincon``; this module is
-the scipy equivalent (SLSQP with analytic gradients).  The program is
-nonconvex (interference couples beamspots), so the solver supports
-multi-start: the first start is seeded from the ranking heuristic -- which
-Insight 1 says is close to the optimal structure -- and further starts
-perturb it randomly.  The best feasible local optimum wins.
+the scipy equivalent (SLSQP with analytic gradients), plus a projected
+Newton method for the programs whose curvature is known in closed form.
+The program is nonconvex (interference couples beamspots), so the solver
+supports multi-start: the first start is seeded from the ranking
+heuristic -- which Insight 1 says is close to the optimal structure --
+and further starts perturb it randomly.  The best feasible local optimum
+wins.
 
 Variables are the scaled swings ``x[j, k] = I_sw[j, k] / I_sw,max`` in
 ``[0, 1]``; constraints are the per-TX total-swing bound (Eq. 6, linear)
@@ -14,7 +16,20 @@ every active TX owns exactly one variable (the program Insight 1
 licenses) is solved in the power domain instead, in ``q = x**2``: the
 received amplitudes and the Eq. 7 power are linear in ``q``, so the
 budget is one linear row, and the result maps back as ``x = sqrt(q)``.
-The full program and plans where a TX owns two pairs stay in ``x``.
+The full program and plans where a TX owns two pairs stay in ``x`` and
+run SLSQP.
+
+Power-domain descents run Bertsekas' projected Newton method instead of
+SLSQP.  With one pair per TX the utility depends on ``q`` only through
+2M linear maps (each RX's signal and interference), so its Hessian is
+``J^T Phi J`` of rank at most 2M (:class:`_PowerUtility`), and at the
+optimum Insights 1-2 leave only a handful of the K variables off their
+bounds.  Each iteration holds the variables an eps rule puts at a bound,
+takes an eigenvalue-floored Newton step on the rest (the Eq. 7 row as an
+equality while it binds) and an Armijo search along the projection arc.
+A descent that is not stationary after ``_NEWTON_MAX_ITERATIONS``
+continues in SLSQP from the point it reached (``optimizer.newton_handoffs``
+counts these).
 
 Starts: in ``x``, and in ``q`` while the budget affords fewer full-swing
 TXs than there are RXs, the anchor is the heuristic's structure shrunk
@@ -64,8 +79,27 @@ from .problem import UTILITY_FLOOR, AllocationProblem
 from .reduction import ReductionPlan, plan_reduction
 
 #: Utility gain [nats] below which a descent counts as never having left
-#: its start (SLSQP ends within ~1e-9 of a stationary start).
+#: its start (a descent ends within ~1e-9 of a stationary start).
 _STALL_TOLERANCE = 1e-6
+
+#: Projected Newton iterations per power-domain descent before SLSQP
+#: continues from the point reached.
+_NEWTON_MAX_ITERATIONS = 20
+
+#: Stationarity test: the projected-gradient step ``max|P(q + dU/dq) - q|``.
+_NEWTON_TOLERANCE = 1e-10
+
+#: Bertsekas' eps-active bound: a variable within ``min(eps, residual)``
+#: of a bound its reduced gradient pushes against is held there.
+_NEWTON_EPSILON = 1e-3
+
+#: Armijo sufficient-increase fraction and the halvings tried per search.
+_ARMIJO = 1e-4
+_ARMIJO_HALVINGS = 20
+
+#: Relative resolution of U: a step may lose this much (rounding) and
+#: still count as an increase.
+_RESOLUTION = 1e-14
 
 #: Floor [q = x**2] of the binary anchor and the warm start in the power
 #: domain: every pair starts interior to its box.
@@ -95,7 +129,7 @@ class OptimizerOptions:
             ranking-heuristic reference that triggers the fallback.
         warm_start: optional (N, M) swing matrix [A] used as the first
             initial point (fitted to the budget like the anchor); this is how
-            the serving layer and mobility sweeps seed SLSQP from the
+            the serving layer and mobility sweeps seed the descents from the
             nearest cached allocation.
         deadline: optional absolute :func:`time.monotonic` timestamp;
             the objective raises :class:`~repro.errors.DeadlineExceeded`
@@ -166,10 +200,13 @@ class _Support:
     variable is solved in ``q = x**2``.  There the quarter swings
     ``q * (I_sw,max / 2)**2`` and the Eq. 7 power ``r * (I_sw,max / 2)**2
     * sum(q)`` are linear, so the budget is one row with a constant
-    Jacobian.  :meth:`restrict` and :meth:`expand` take and return
-    scaled swings in either domain.  ``allow_power_domain = False`` in a
-    subclass keeps every plan in ``x`` (the reference the power domain
-    is checked against).
+    Jacobian (``sum(q) <= capacity``), and ``utility`` is the solve's
+    one power-domain evaluator (:class:`_PowerUtility`), shared by the
+    start shedding, the Newton descent and an SLSQP hand-off.
+    :meth:`restrict` and :meth:`expand` take and return scaled swings in
+    either domain.  ``allow_power_domain = False`` in a subclass keeps
+    every plan in ``x`` (the reference the power domain is checked
+    against).
     """
 
     allow_power_domain = True
@@ -228,6 +265,9 @@ class _Support:
         #: Eq. 7 power of q = 1, i.e. one TX at full swing [W].
         self.unit_power = resistance * self.quarter_max
         if self.power_domain:
+            #: Eq. 7 in q: sum(q) <= capacity.
+            self.capacity = budget / self.unit_power
+            self.utility = _PowerUtility(problem, options, self)
             power_jacobian_q = np.full(self.num_pairs, -self.unit_power)
             self.constraints = [
                 {
@@ -285,12 +325,6 @@ class _Support:
         self._swing_matrix[self.local_tx, self.rx_indices] = x * max_swing
         return self._swing_matrix
 
-    def active_quarters(self, q: np.ndarray) -> np.ndarray:
-        """The (K, M) quarter-swing matrix of a q point (shared buffer)."""
-        quarters = q * self.quarter_max
-        self._swing_matrix[self.local_tx, self.rx_indices] = quarters
-        return self._swing_matrix
-
     def power(self, q: np.ndarray) -> float:
         """Eq. 7 power [W] of a q point."""
         return self.unit_power * float(q.sum())
@@ -314,8 +348,132 @@ class _Support:
         )
 
 
+def _check_deadline(deadline: Optional[float]) -> None:
+    """The solve's one deadline checkpoint, run at every evaluation."""
+    if deadline is not None and time.monotonic() >= deadline:
+        raise DeadlineExceeded("the continuous optimizer passed its deadline")
+
+
+class _PowerUtility:
+    """Eq. 5 utility of a power-domain program, its gradient and curvature.
+
+    With one pair per TX, RX i's signal and interference amplitudes are
+    linear in q: ``s = J_s q`` and ``I = J_I q``, with ``J = [J_s; J_I]``
+    of shape (2M, K).  So ``U(q) = sum_i f(s_i, I_i)`` with
+    ``f = log(rate + floor)``, the gradient is ``J^T (f_s; f_I)`` and
+    the Hessian is ``J^T Phi J``, where Phi holds three diagonal (M, M)
+    blocks of second derivatives, ``phi_ss``, ``phi_sI`` and ``phi_II``:
+    rank at most 2M, whatever K.
+    """
+
+    def __init__(
+        self,
+        problem: AllocationProblem,
+        options: OptimizerOptions,
+        support: _Support,
+    ) -> None:
+        num_rx = problem.num_receivers
+        gain = (
+            problem.photodiode.responsivity
+            * problem.led.wall_plug_efficiency
+            * problem.led.dynamic_resistance
+            * support.quarter_max
+        )
+        # Column p is pair (tx, rx): its channel to every RX, split into
+        # the RX it serves (signal) and the others (interference).
+        columns = gain * support.channel_active[support.local_tx].T  # (M, K)
+        serves = np.equal.outer(np.arange(num_rx), support.rx_indices)
+        self.jacobian = np.concatenate(
+            (np.where(serves, columns, 0.0), np.where(serves, 0.0, columns))
+        )
+        self.num_rx = num_rx
+        self.noise_power = problem.noise.power
+        self.bandwidth = problem.noise.bandwidth
+        self.floor = options.utility_floor
+        self.deadline = options.deadline
+
+    def __call__(
+        self, q: np.ndarray, curvature: bool = False
+    ) -> Tuple[float, np.ndarray, Optional[np.ndarray]]:
+        """U(q), dU/dq and, if asked, Phi as a (3, M) array of its blocks."""
+        _check_deadline(self.deadline)
+        amplitudes = self.jacobian @ q
+        signal = amplitudes[: self.num_rx]
+        interference = amplitudes[self.num_rx :]
+        denom = self.noise_power + interference**2
+        sinr = signal**2 / denom
+        growth = 1.0 + sinr
+        shifted = self.bandwidth * np.log2(growth) + self.floor
+        value = float(np.sum(np.log(shifted)))
+        # dU/dSINR per RX, and dSINR/ds, dSINR/dI.
+        slope = self.bandwidth / (math.log(2.0) * shifted * growth)
+        d_signal = 2.0 * signal / denom
+        d_interference = -2.0 * sinr * interference / denom
+        gradient = self.jacobian.T @ np.concatenate(
+            (slope * d_signal, slope * d_interference)
+        )
+        if not curvature:
+            return value, gradient, None
+        bend = -slope * (slope + 1.0 / growth)  # d2U/dSINR2
+        phi = np.empty((3, self.num_rx))
+        phi[0] = bend * d_signal**2 + slope * 2.0 / denom
+        phi[1] = (
+            bend * d_signal * d_interference
+            - slope * d_signal * 2.0 * interference / denom
+        )
+        phi[2] = bend * d_interference**2 - slope * 2.0 * sinr * (
+            1.0 - 4.0 * interference**2 / denom
+        ) / denom
+        return value, gradient, phi
+
+    def hessian(self, phi: np.ndarray, columns: Any = slice(None)) -> np.ndarray:
+        """``J^T Phi J`` restricted to *columns* (a mask, slice or index)."""
+        jacobian = self.jacobian[:, columns]
+        signal = jacobian[: self.num_rx]
+        interference = jacobian[self.num_rx :]
+        weighted_signal = phi[0][:, None] * signal + phi[1][:, None] * interference
+        weighted_interference = (
+            phi[1][:, None] * signal + phi[2][:, None] * interference
+        )
+        hessian: np.ndarray = (
+            signal.T @ weighted_signal + interference.T @ weighted_interference
+        )
+        return hessian
+
+
+def _project(
+    y: np.ndarray, room: float, equality: bool = False
+) -> Tuple[np.ndarray, float]:
+    """Project *y* onto ``[0, 1]^K`` with ``sum <= room`` (``== room``).
+
+    Returns the point ``clip(y - lam, 0, 1)`` and the row's multiplier
+    ``lam``: 0 when clipping alone satisfies the row, otherwise (and
+    always with *equality*, where it may be negative) the value that
+    puts the sum on the row.  The sum is piecewise linear in ``lam``
+    with breakpoints at ``y`` and ``y - 1``, so it is evaluated at every
+    breakpoint at once and interpolated.
+    """
+    point = np.clip(y, 0.0, 1.0)
+    total = float(point.sum())
+    if total == room or (total < room and not equality):
+        return point, 0.0
+    breaks = np.concatenate((y - 1.0, y))
+    breaks.sort()
+    sums = np.clip(y[None, :] - breaks[:, None], 0.0, 1.0).sum(axis=1)
+    upper = int(np.searchsorted(-sums, -room))
+    if upper == 0:
+        return np.ones_like(y), float(breaks[0])
+    if upper == breaks.size:
+        return np.zeros_like(y), float(breaks[-1])
+    lower = upper - 1
+    lam = breaks[lower] + (sums[lower] - room) / (
+        sums[lower] - sums[upper]
+    ) * (breaks[upper] - breaks[lower])
+    return np.clip(y - lam, 0.0, 1.0), float(lam)
+
+
 class ContinuousOptimizer:
-    """SLSQP solver for the Eq. 5-7 program with analytic gradients.
+    """Solver for the Eq. 5-7 program: SLSQP, or projected Newton in ``q``.
 
     *metrics* is an optional :class:`repro.runtime.metrics.MetricsRegistry`
     (or any object with the same ``histogram``/``counter``/``gauge`` duck
@@ -340,8 +498,11 @@ class ContinuousOptimizer:
             if metrics is not None
             else {}
         )
-        # SLSQP introspection for the active solve span (None: untraced).
+        # Descent introspection for the active solve span (None:
+        # untraced): iterations of every descent (the span's
+        # ``slsqp_iterations``), Newton's share, the objective trajectory.
         self._iterations = 0
+        self._newton_iterations = 0
         self._trajectory: Optional[List[float]] = None
 
     # ------------------------------------------------------------------
@@ -392,7 +553,7 @@ class ContinuousOptimizer:
                 )
             except OptimizationError as error:
                 raise OptimizationError(
-                    f"SLSQP failed at budget {budget} in the sweep"
+                    f"the optimizer failed at budget {budget} in the sweep"
                 ) from error
             allocations.append(allocation)
             previous = allocation.swings
@@ -416,6 +577,7 @@ class ContinuousOptimizer:
         # descent of the solve and land on the enclosing solve span,
         # not on the sub-stage that ran them.
         self._iterations = 0
+        self._newton_iterations = 0
         self._trajectory = [] if current_span() is not None else None
         try:
             return self._solve_stages(problem, options, skip_dominated)
@@ -423,6 +585,7 @@ class ContinuousOptimizer:
             if self._trajectory is not None:
                 add_span_attributes(
                     slsqp_iterations=self._iterations,
+                    newton_iterations=self._newton_iterations,
                     objective_trajectory=self._trajectory[-32:],
                 )
 
@@ -433,6 +596,9 @@ class ContinuousOptimizer:
         skip_dominated: bool,
     ) -> Allocation:
         heuristic = RankingHeuristic().solve(problem)
+        # Eq. 5 runs once per candidate: the heuristic's utility here,
+        # each descent's answer in _best_from.
+        heuristic_utility = heuristic.utility
         if options.reduce:
             with stage("prune", self._stages.get("prune")):
                 plan = plan_reduction(
@@ -451,11 +617,16 @@ class ContinuousOptimizer:
                         float(plan.num_pairs)
                     )
                 with stage("reduced_solve", self._stages.get("reduced_solve")):
-                    best = self._best_over_starts(
-                        problem, options, heuristic, plan, skip_dominated
+                    best, utility = self._best_over_starts(
+                        problem,
+                        options,
+                        heuristic,
+                        heuristic_utility,
+                        plan,
+                        skip_dominated,
                     )
-                if best is not None and problem.utility(best) >= (
-                    heuristic.utility - options.reduction_utility_slack
+                if best is not None and utility >= (
+                    heuristic_utility - options.reduction_utility_slack
                 ):
                     return Allocation(
                         problem=problem, swings=best, solver="slsqp-reduced"
@@ -465,12 +636,18 @@ class ContinuousOptimizer:
                 # solve failed -- run the full program.
                 self._count("optimizer.fallbacks")
         with stage("full_solve", self._stages.get("full_solve")):
-            best = self._best_over_starts(
-                problem, options, heuristic, None, skip_dominated
+            best, _ = self._best_over_starts(
+                problem,
+                options,
+                heuristic,
+                heuristic_utility,
+                None,
+                skip_dominated,
             )
         if best is None:
             raise OptimizationError(
-                "SLSQP failed to produce a feasible allocation from any start"
+                "the optimizer failed to produce a feasible allocation from "
+                "any start"
             )
         return Allocation(problem=problem, swings=best, solver="slsqp")
 
@@ -479,9 +656,11 @@ class ContinuousOptimizer:
         problem: AllocationProblem,
         options: OptimizerOptions,
         heuristic: Allocation,
+        heuristic_utility: float,
         plan: Optional[ReductionPlan],
         skip_dominated: bool,
-    ) -> Optional[np.ndarray]:
+    ) -> Tuple[Optional[np.ndarray], float]:
+        """The best feasible local optimum over the starts, and its utility."""
         support = _Support(problem, options, plan)
         max_swing = problem.led.max_swing
         starts: List[np.ndarray] = []
@@ -494,30 +673,30 @@ class ContinuousOptimizer:
                 )
             point = support.restrict(warm / max_swing)
             starts.append(
-                self._shed_to_budget(
-                    problem, np.maximum(point, _Q_FLOOR), support, options
-                )
+                self._shed_to_budget(np.maximum(point, _Q_FLOOR), support)
                 if self._sheds(problem, support)
                 else self._fit_budget(problem, point, support, options)
             )
-            if skip_dominated and problem.utility(warm) >= heuristic.utility:
+            if skip_dominated and problem.utility(warm) >= heuristic_utility:
                 # The warm start already dominates the ranking anchor:
                 # every remaining start is the anchor or a perturbation
-                # of it, and each one costs a full SLSQP descent toward
+                # of it, and each one costs a full descent toward
                 # a solution the warm point starts at or above.
                 start = support.expand(
                     starts[0], problem.num_transmitters, problem.num_receivers
                 )
                 start_utility = problem.utility(start * max_swing)
-                best = self._best_from(problem, starts, support, options)
+                best, utility = self._best_from(
+                    problem, starts, support, options
+                )
                 if best is not None and (
-                    problem.utility(best) > start_utility + _STALL_TOLERANCE
+                    utility > start_utility + _STALL_TOLERANCE
                 ):
                     if self.metrics is not None:
                         self.metrics.counter(
                             "optimizer.starts_skipped"
                         ).increment(1 + options.restarts)
-                    return best
+                    return best, utility
                 # The skip is a speed-up only: it must never fail, or
                 # land lower, where the full start set would not.  Fall
                 # back to the anchor and restarts when the lone warm
@@ -533,6 +712,7 @@ class ContinuousOptimizer:
                     support,
                     options,
                     best,
+                    utility,
                 )
         starts.extend(self._anchor_points(problem, options, heuristic, support))
         return self._best_from(problem, starts, support, options)
@@ -544,9 +724,12 @@ class ContinuousOptimizer:
         support: _Support,
         options: OptimizerOptions,
         best: Optional[np.ndarray] = None,
-    ) -> Optional[np.ndarray]:
-        """The best feasible local optimum over *starts* and *best*."""
-        best_utility = -math.inf if best is None else problem.utility(best)
+        best_utility: float = -math.inf,
+    ) -> Tuple[Optional[np.ndarray], float]:
+        """The best feasible local optimum over *starts* and *best*.
+
+        Returns it with its utility, so callers never re-evaluate Eq. 5.
+        """
         for x0 in starts:
             swings = self._solve_from(problem, x0, support, options)
             if swings is None:
@@ -555,7 +738,7 @@ class ContinuousOptimizer:
             if utility > best_utility:
                 best_utility = utility
                 best = swings
-        return best
+        return best, best_utility
 
     def _anchor_points(
         self,
@@ -570,9 +753,7 @@ class ContinuousOptimizer:
         base = support.restrict(scaled)
         if self._sheds(problem, support):
             # Insight 2's regime: start at the heuristic's binary point.
-            anchor = self._shed_to_budget(
-                problem, np.maximum(base, _Q_FLOOR), support, options
-            )
+            anchor = self._shed_to_budget(np.maximum(base, _Q_FLOOR), support)
         else:
             # Heuristic structure, scaled into the budget interior.  The
             # floor sits in the solve's own variables: squared from x
@@ -602,13 +783,8 @@ class ContinuousOptimizer:
             problem.max_affordable_transmitters >= problem.num_receivers
         )
 
-    def _shed_to_budget(
-        self,
-        problem: AllocationProblem,
-        q: np.ndarray,
-        support: _Support,
-        options: OptimizerOptions,
-    ) -> np.ndarray:
+    @staticmethod
+    def _shed_to_budget(q: np.ndarray, support: _Support) -> np.ndarray:
         """Fit a q point to the budget, shedding the least useful power.
 
         Power is linear in q, so the excess comes off the pairs with the
@@ -618,11 +794,11 @@ class ContinuousOptimizer:
         affords ``sum(q) >= M``, and N floors sum to ``N * 1e-3``.
         """
         q = np.clip(q, 0.0, 1.0)
-        excess = float(q.sum()) - problem.power_budget / support.unit_power
+        excess = float(q.sum()) - support.capacity
         if excess <= 0.0:
             return q
-        _, negated_marginals = self._objective(problem, support, options)(q)
-        order = np.argsort(-negated_marginals, kind="stable")
+        _, marginals, _ = support.utility(q)
+        order = np.argsort(marginals, kind="stable")
         room = np.maximum(q[order] - _Q_FLOOR, 0.0)
         q[order] -= np.clip(excess - (np.cumsum(room) - room), 0.0, room)
         return q
@@ -666,6 +842,16 @@ class ContinuousOptimizer:
         trajectory: Optional[List[float]] = None,
     ) -> Callable[[np.ndarray], Tuple[float, np.ndarray]]:
         """Negated Eq. 5 utility and its gradient in the solve's variables."""
+        if support.power_domain:
+            utility = support.utility
+
+            def negated(q: np.ndarray) -> Tuple[float, np.ndarray]:
+                value, gradient, _ = utility(q)
+                if trajectory is not None:
+                    trajectory.append(value)
+                return -value, -gradient
+
+            return negated
         max_swing = problem.led.max_swing
         channel = support.channel_active
         scale = (
@@ -680,19 +866,11 @@ class ContinuousOptimizer:
         local_tx = support.local_tx
         rx_indices = support.rx_indices
         deadline = options.deadline
-        power_domain = support.power_domain
-        quarter_max = support.quarter_max
 
-        def objective(v: np.ndarray) -> Tuple[float, np.ndarray]:
-            # The solve's one deadline checkpoint: evaluations are at
-            # most tens of milliseconds apart.
-            if deadline is not None and time.monotonic() >= deadline:
-                raise DeadlineExceeded("SLSQP passed its deadline")
-            if power_domain:
-                quarter = support.active_quarters(v)
-            else:
-                swings = support.active_swings(v, max_swing)
-                quarter = (swings / 2.0) ** 2
+        def objective(x: np.ndarray) -> Tuple[float, np.ndarray]:
+            _check_deadline(deadline)
+            swings = support.active_swings(x, max_swing)
+            quarter = (swings / 2.0) ** 2
             amplitudes = scale * channel.T @ quarter  # (M, M)
             signal = np.diag(amplitudes).copy()
             interference = amplitudes.sum(axis=1) - signal
@@ -714,11 +892,8 @@ class ContinuousOptimizer:
                 channel * (w_direct - w_interf)[None, :]
                 + total_interf[:, None]
             )
-            if power_domain:
-                gradient = grad_q[local_tx, rx_indices] * quarter_max
-            else:
-                grad_swing = grad_q * (swings / 2.0)
-                gradient = grad_swing[local_tx, rx_indices] * max_swing
+            grad_swing = grad_q * (swings / 2.0)
+            gradient = grad_swing[local_tx, rx_indices] * max_swing
             return -value, -gradient
 
         return objective
@@ -738,23 +913,41 @@ class ContinuousOptimizer:
         trajectory: Optional[List[float]] = (
             [] if self._trajectory is not None else None
         )
-        result = optimize.minimize(
-            self._objective(problem, support, options, trajectory),
-            x0,
-            jac=True,
-            method="SLSQP",
-            bounds=support.bounds,
-            constraints=support.constraints,
-            options={
-                "maxiter": options.max_iterations,
-                "ftol": options.tolerance,
-            },
-        )
-        iterations = int(getattr(result, "nit", 0))
-        if self.metrics is not None:
-            self.metrics.histogram("optimizer.slsqp_iterations").observe(
-                float(iterations)
+        iterations = 0
+        reduced = x0
+        converged = False
+        if support.power_domain:
+            reduced, iterations, converged = self._newton(
+                x0, support, trajectory
             )
+            if self.metrics is not None:
+                self.metrics.histogram("optimizer.newton_iterations").observe(
+                    float(iterations)
+                )
+            if self._trajectory is not None:
+                self._newton_iterations += iterations
+            if not converged and self.metrics is not None:
+                self.metrics.counter("optimizer.newton_handoffs").increment()
+        if not converged:
+            result = optimize.minimize(
+                self._objective(problem, support, options, trajectory),
+                reduced,
+                jac=True,
+                method="SLSQP",
+                bounds=support.bounds,
+                constraints=support.constraints,
+                options={
+                    "maxiter": options.max_iterations,
+                    "ftol": options.tolerance,
+                },
+            )
+            slsqp_iterations = int(getattr(result, "nit", 0))
+            if self.metrics is not None:
+                self.metrics.histogram("optimizer.slsqp_iterations").observe(
+                    float(slsqp_iterations)
+                )
+            iterations += slsqp_iterations
+            reduced = result.x
         if trajectory is not None and self._trajectory is not None:
             # Accumulate across the multi-start loop: total iteration
             # count plus a downsampled objective trajectory over all
@@ -762,15 +955,136 @@ class ContinuousOptimizer:
             self._iterations += iterations
             step = max(1, -(-len(trajectory) // 16))
             self._trajectory.extend(round(v, 6) for v in trajectory[::step])
-        reduced = np.clip(result.x, 0.0, 1.0)
+        reduced = np.clip(reduced, 0.0, 1.0)
         candidate = support.expand(reduced, num_tx, num_rx) * max_swing
-        # SLSQP can end a hair outside the power budget; pull it back in.
+        # A descent can end a hair outside the power budget; pull it back.
         power = problem.total_power(candidate)
         if power > problem.power_budget > 0.0:
             candidate = candidate * math.sqrt(problem.power_budget / power)
         if not problem.is_feasible(candidate, tolerance=1e-6):
             return None
         return candidate
+
+    @staticmethod
+    def _newton(
+        q0: np.ndarray,
+        support: _Support,
+        trajectory: Optional[List[float]],
+    ) -> Tuple[np.ndarray, int, bool]:
+        """Projected Newton ascent of U on ``[0, 1]^K`` with ``sum(q) <= c``.
+
+        Bertsekas' method (SIAM J. Control Optim. 20(2), 1982): variables
+        within ``eps`` of a bound whose reduced gradient pushes them out
+        of the box are held there; the rest take a Newton step on the
+        exact Hessian, eigenvalue-floored, with the Eq. 7 row as an
+        equality while it binds; an Armijo search runs along the
+        projection arc.  Returns the point reached, the iterations taken
+        and whether the point passed the stationarity test.
+        """
+        utility = support.utility
+        capacity = support.capacity
+
+        def evaluate(
+            q: np.ndarray,
+        ) -> Tuple[float, np.ndarray, np.ndarray]:
+            value, gradient, phi = utility(q, curvature=True)
+            if trajectory is not None:
+                trajectory.append(value)
+            assert phi is not None
+            return value, gradient, phi
+
+        q = _project(q0, capacity)[0]
+        value, gradient, phi = evaluate(q)
+        iterations = 0
+        while True:
+            # Projected-gradient residual; its multiplier is the price of
+            # power that balances the movable variables on the row.
+            target, multiplier = _project(q + gradient, capacity)
+            residual = float(np.max(np.abs(target - q)))
+            if residual < _NEWTON_TOLERANCE:
+                return q, iterations, True
+            if iterations >= _NEWTON_MAX_ITERATIONS:
+                return q, iterations, False
+            iterations += 1
+            eps = min(_NEWTON_EPSILON, residual)
+            binds = multiplier > 0.0 and capacity - float(q.sum()) <= eps
+            reduced = (multiplier if binds else 0.0) - gradient
+            lower = (q <= eps) & (reduced > 0.0)
+            upper = (q >= 1.0 - eps) & (reduced < 0.0)
+            free = ~(lower | upper)
+            base = np.where(upper, 1.0, np.where(lower, 0.0, q))
+            room = capacity - float(base[~free].sum())
+            # Near the optimum the gain falls below what U resolves.
+            resolution = _RESOLUTION * abs(value)
+            trial: Optional[np.ndarray] = None
+            if free.any() and room > 0.0:
+                step = _newton_step(
+                    utility.hessian(phi, free), reduced[free], binds
+                )
+                alpha = 1.0
+                for _ in range(_ARMIJO_HALVINGS):
+                    point = base.copy()
+                    point[free] = _project(
+                        q[free] + alpha * step, room, equality=binds
+                    )[0]
+                    gain = float(gradient @ (point - q))
+                    if gain < -resolution:
+                        break
+                    result = evaluate(point)
+                    if result[0] - value >= _ARMIJO * gain - resolution:
+                        trial = point
+                        value, gradient, phi = result
+                        break
+                    alpha *= 0.5
+            if trial is None:
+                # No ascent along the Newton arc: one projected-
+                # gradient step, backtracked from the curvature's scale.
+                scale = float(np.abs(utility.hessian(phi)).sum(axis=1).max())
+                beta = 1.0 / max(scale, np.finfo(float).tiny)
+                for _ in range(_ARMIJO_HALVINGS):
+                    point = _project(q + beta * gradient, capacity)[0]
+                    gain = float(gradient @ (point - q))
+                    if gain <= 0.0:
+                        break
+                    result = evaluate(point)
+                    if result[0] - value >= _ARMIJO * gain - resolution:
+                        trial = point
+                        value, gradient, phi = result
+                        break
+                    beta *= 0.5
+                if trial is None:
+                    return q, iterations, False
+            q = trial
+
+
+def _newton_step(
+    hessian: np.ndarray, reduced: np.ndarray, binds: bool
+) -> np.ndarray:
+    """Newton step on the free variables, flooring -H's eigenvalues.
+
+    ``|w|`` is floored at ``max(1e-8 * max|w|, max|reduced|)``: the
+    Hessian has rank at most 2M, and its null directions would otherwise
+    take huge steps that project onto a vertex.  While the Eq. 7 row
+    binds, the step keeps ``sum`` constant (the row as an equality).
+    """
+    eigenvalues, vectors = np.linalg.eigh(-hessian)
+    magnitudes = np.abs(eigenvalues)
+    floor = max(
+        1e-8 * float(magnitudes.max()),
+        float(np.abs(reduced).max()),
+        np.finfo(float).tiny,
+    )
+    inverse = 1.0 / np.maximum(magnitudes, floor)
+
+    def solve(y: np.ndarray) -> np.ndarray:
+        solved: np.ndarray = vectors @ (inverse * (vectors.T @ y))
+        return solved
+
+    step = -solve(reduced)
+    if binds:
+        ones = solve(np.ones_like(reduced))
+        step -= (step.sum() / ones.sum()) * ones
+    return step
 
 
 def solve_optimal(

@@ -5,8 +5,9 @@ parameters)``.  :class:`SolverPool` solves :class:`SolveTask` batches
 one after another in the calling thread and returns the results in
 submission order.
 
-A task's deadline reaches the solver itself: the SLSQP objective, each
-swing-search round and each greedy step check it and raise
+A task's deadline reaches the solver itself: each evaluation of the
+``optimal`` tier's objective, each swing-search round and each greedy
+step check it and raise
 :class:`~repro.errors.DeadlineExceeded` once it has passed, so no solve
 runs on a helper thread.  A solve that misses its deadline or fails to
 converge falls down the degradation chain (``optimal -> swing ->
@@ -40,7 +41,7 @@ from ..core import (
     solve_swing,
 )
 from ..errors import DeadlineExceeded, OptimizationError, RuntimeEngineError
-from ..optics import LEDModel, Photodiode, cree_xte_paper_power, s5971
+from ..optics import LEDModel, Photodiode, cree_xte, s5971
 from ..tracecontext import Span, add_span_attributes, stage
 from .faults import FaultPlan
 from .metrics import MetricsRegistry
@@ -54,13 +55,16 @@ TraceParents = Sequence[Optional[Span]]
 class SolveTask:
     """One allocation solve: a problem instance plus solver selection.
 
-    ``warm_start`` is an optional (N, M) swing matrix that seeds SLSQP
-    for the ``optimal`` solver and the combinatorial ``swing`` search
+    ``warm_start`` is an optional (N, M) swing matrix that seeds the
+    descents of the ``optimal`` solver and the combinatorial ``swing`` search
     (where its binary projection competes with the ranked seed) -- the
     serving layer fills it with the nearest cached allocation so
     mobility-style traffic skips most of the solver iterations.
     ``reduce`` enables the SJR-pruned reduced-variable program /
     candidate-pair pruning (with automatic full-dimension fallback).
+    ``led`` defaults to the scenes' LED (:func:`~repro.optics.cree_xte`,
+    54.1 mW at full swing), so a task built from a scene's channel
+    solves that scene's Eq. 7 program.
 
     ``deadline`` is an absolute :func:`time.monotonic` timestamp (the
     request's remaining budget, set by the service).  It reaches the
@@ -75,7 +79,7 @@ class SolveTask:
     solver: str = "heuristic"
     kappa: float = constants.DEFAULT_KAPPA
     seed: int = 0
-    led: LEDModel = field(default_factory=cree_xte_paper_power)
+    led: LEDModel = field(default_factory=cree_xte)
     photodiode: Photodiode = field(default_factory=s5971)
     noise: AWGNNoise = field(default_factory=AWGNNoise)
     warm_start: Optional[np.ndarray] = None

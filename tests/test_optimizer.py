@@ -152,14 +152,16 @@ class TestWarmSkipDifferential:
     PLACEMENTS = (4, 6, 7, 9)
     FULL_PROGRAM_PLACEMENTS = (4,)
 
-    def _assert_feasible(self, allocation):
+    @staticmethod
+    def _assert_feasible(allocation):
         from repro.illumination.dimming import max_swing_for_bias
 
         problem = allocation.problem
         led = problem.led
         per_tx = allocation.swings.sum(axis=1)
-        slack = 1.0 + self.TOLERANCE
-        assert np.all(allocation.swings >= -self.TOLERANCE)
+        tolerance = TestWarmSkipDifferential.TOLERANCE
+        slack = 1.0 + tolerance
+        assert np.all(allocation.swings >= -tolerance)
         # Eq. 6: each TX's total swing stays within I_sw,max.
         assert np.all(per_tx <= led.max_swing * slack)
         # Eq. 7: the communication power stays within the budget.
@@ -258,7 +260,7 @@ class TestPruningDifferential:
     MAX_GAP = 0.018
     TOLERANCE = 1e-6
     PLACEMENTS = 6
-    _assert_feasible = TestWarmSkipDifferential._assert_feasible
+    _assert_feasible = staticmethod(TestWarmSkipDifferential._assert_feasible)
 
     @pytest.fixture(scope="class")
     def ladders(self):
@@ -382,7 +384,7 @@ class TestSwingRowPruning:
     RELATIVE_TOLERANCE = 1e-9
     TOLERANCE = 1e-6
     PLACEMENTS = 10
-    _assert_feasible = TestWarmSkipDifferential._assert_feasible
+    _assert_feasible = staticmethod(TestWarmSkipDifferential._assert_feasible)
 
     @staticmethod
     def _swing_rows(support):
@@ -487,34 +489,23 @@ class _XDomainSupport(_Support):
     allow_power_domain = False
 
 
-class TestPowerDomainDifferential:
-    """One-pair-per-TX plans solved in ``q = x**2`` against ``x``.
+def _ladder_differential(monkeypatch, seed, patch_reference, label):
+    """Walk seeded ladders with and without *patch_reference* applied.
 
-    The power domain changes the variables SLSQP walks and the starts it
-    walks from (the heuristic's binary point and the warm start fitted
-    by shedding the least useful power, or a floor in ``q`` below one
-    full-swing TX per RX), not the program.  The slow reference keeps
-    every plan in ``x`` with today's starts (:class:`_XDomainSupport`).
-    Ten placements of seeds 0 and 3's Fig. 6 draws run the coarse Fig. 9
-    rungs with the serving options (``restarts=0``, ``reduce=True``):
-    cold, down a warm-started ladder from the top rung and up one from
-    the bottom, each rung seeded from the ladder's previous answer.
-    Every allocation must be feasible and no more than 1e-9 relative
-    utility below the reference on the same rung of the same walk.
-
-    Wall time: about 18 s on a 2-vCPU x86 box.
+    Ten placements of the seed's Fig. 6 draw run the coarse Fig. 9 rungs
+    with the serving options (``restarts=0``, ``reduce=True``): cold,
+    down a warm-started ladder from the top rung and up one from the
+    bottom, each rung seeded from the ladder's previous answer.  Every
+    allocation must be feasible and no more than 1e-9 relative utility
+    below the reference on the same rung of the same walk.
     """
+    from dataclasses import replace
 
-    RELATIVE_TOLERANCE = 1e-9
-    TOLERANCE = 1e-6
-    PLACEMENTS = 10
-    _assert_feasible = TestWarmSkipDifferential._assert_feasible
+    from repro.channel import channel_matrix
+    from repro.experiments.config import default_config
+    from repro.experiments.scenarios import fig6_instances
 
-    @staticmethod
-    def _walk(problem, budgets, options, warm):
-        """Solve *budgets* in order, warm-starting each from the last."""
-        from dataclasses import replace
-
+    def walk(problem, budgets, options, warm):
         previous = None
         for budget in budgets:
             allocation = ContinuousOptimizer(
@@ -524,46 +515,148 @@ class TestPowerDomainDifferential:
                 previous = allocation.swings
             yield allocation
 
+    cfg = default_config()
+    budgets = list(cfg.coarse_budgets(12))
+    options = OptimizerOptions(restarts=0, seed=cfg.seed, reduce=True)
+    walks = {
+        "cold": (budgets, False),
+        "top-down": (budgets[::-1], True),
+        "bottom-up": (budgets, True),
+    }
+    for placement in fig6_instances(instances=10, seed=seed):
+        scene = cfg.simulation_scene_at(
+            tuple((float(x), float(y)) for x, y in placement)
+        )
+        problem = AllocationProblem(
+            channel=channel_matrix(scene),
+            power_budget=budgets[-1],
+            led=cfg.led,
+            photodiode=cfg.photodiode,
+            noise=cfg.noise,
+        )
+        for walk_label, (ladder, warm) in walks.items():
+            solved = list(walk(problem, ladder, options, warm))
+            with monkeypatch.context() as patch:
+                patch_reference(patch)
+                references = list(walk(problem, ladder, options, warm))
+            for allocation, reference in zip(solved, references):
+                assert allocation.solver == "slsqp-reduced"
+                TestWarmSkipDifferential._assert_feasible(allocation)
+                loss = (reference.utility - allocation.utility) / abs(
+                    reference.utility
+                )
+                assert loss <= 1e-9, (
+                    f"{walk_label} {allocation.problem.power_budget:.3f} W: "
+                    f"utility {loss:.2e} below {label}"
+                )
+
+
+class _XDomainSupport(_Support):
+    """A ``_Support`` that solves every plan in the scaled swings ``x``."""
+
+    allow_power_domain = False
+
+
+class TestPowerDomainDifferential:
+    """One-pair-per-TX plans solved in ``q = x**2`` against ``x``.
+
+    The power domain changes the variables the descent walks and the
+    starts it walks from (the heuristic's binary point and the warm
+    start fitted by shedding the least useful power, or a floor in ``q``
+    below one full-swing TX per RX), not the program.  The slow
+    reference keeps every plan in ``x`` with today's starts
+    (:class:`_XDomainSupport`), on the ladders of
+    :func:`_ladder_differential`.
+
+    Wall time: about 15 s on a 2-vCPU x86 box.
+    """
+
     @pytest.mark.parametrize("seed", [0, 3])
     def test_never_below_the_x_domain(self, monkeypatch, seed):
-        from repro.channel import channel_matrix
         from repro.core import optimizer
-        from repro.experiments.config import default_config
-        from repro.experiments.scenarios import fig6_instances
 
-        cfg = default_config()
-        budgets = list(cfg.coarse_budgets(12))
-        options = OptimizerOptions(restarts=0, seed=cfg.seed, reduce=True)
-        walks = {
-            "cold": (budgets, False),
-            "top-down": (budgets[::-1], True),
-            "bottom-up": (budgets, True),
-        }
-        for placement in fig6_instances(instances=self.PLACEMENTS, seed=seed):
-            scene = cfg.simulation_scene_at(
-                tuple((float(x), float(y)) for x, y in placement)
-            )
-            problem = AllocationProblem(
-                channel=channel_matrix(scene),
-                power_budget=budgets[-1],
-                led=cfg.led,
-                photodiode=cfg.photodiode,
-                noise=cfg.noise,
-            )
-            for label, (ladder, warm) in walks.items():
-                solved = list(self._walk(problem, ladder, options, warm))
-                with monkeypatch.context() as patch:
-                    patch.setattr(optimizer, "_Support", _XDomainSupport)
-                    references = list(
-                        self._walk(problem, ladder, options, warm)
-                    )
-                for allocation, reference in zip(solved, references):
-                    assert allocation.solver == "slsqp-reduced"
-                    self._assert_feasible(allocation)
-                    loss = (reference.utility - allocation.utility) / abs(
-                        reference.utility
-                    )
-                    assert loss <= self.RELATIVE_TOLERANCE, (
-                        f"{label} {allocation.problem.power_budget:.3f} W: "
-                        f"utility {loss:.2e} below the x domain"
-                    )
+        _ladder_differential(
+            monkeypatch,
+            seed,
+            lambda patch: patch.setattr(optimizer, "_Support", _XDomainSupport),
+            "the x domain",
+        )
+
+
+class TestNewtonDescent:
+    """Projected Newton on power-domain programs against SLSQP.
+
+    The reference forces the SLSQP descent for every power-domain
+    program, from the same starts.  The Hessian is checked against
+    central differences of the gradient, and the hand-off to SLSQP
+    against a cap of one Newton iteration.
+
+    Wall time: about 15 s on a 2-vCPU x86 box.
+    """
+
+    @staticmethod
+    def _slsqp_only(patch):
+        from repro.core import optimizer
+
+        patch.setattr(
+            optimizer.ContinuousOptimizer,
+            "_newton",
+            staticmethod(lambda q0, support, trajectory: (q0, 0, False)),
+        )
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_never_below_slsqp(self, monkeypatch, seed):
+        _ladder_differential(monkeypatch, seed, self._slsqp_only, "SLSQP")
+
+    @staticmethod
+    def _power_support(problem):
+        from repro.core import plan_reduction
+
+        options = OptimizerOptions(restarts=0, reduce=True)
+        plan = plan_reduction(
+            problem,
+            margin=options.reduction_margin,
+            min_extra=options.reduction_min_extra,
+        )
+        support = _Support(problem, options, plan)
+        assert support.power_domain
+        return support
+
+    @pytest.mark.parametrize("budget", [0.2, 0.8, 1.9])
+    def test_hessian_matches_central_differences(self, fig7_problem, budget):
+        support = self._power_support(fig7_problem.with_budget(budget))
+        utility = support.utility
+        rng = np.random.default_rng(int(budget * 10))
+        step = 1e-6
+        for _ in range(3):
+            q = rng.uniform(0.05, 0.95, size=support.num_pairs)
+            _, _, phi = utility(q, curvature=True)
+            hessian = utility.hessian(phi)
+            numeric = np.empty_like(hessian)
+            for p in range(q.size):
+                shift = np.zeros_like(q)
+                shift[p] = step
+                numeric[:, p] = (
+                    utility(q + shift)[1] - utility(q - shift)[1]
+                ) / (2.0 * step)
+            scale = np.abs(numeric).max()
+            assert np.abs(hessian - numeric).max() <= 1e-6 * scale
+            assert np.allclose(hessian, hessian.T, rtol=0.0, atol=1e-12 * scale)
+
+    def test_capped_descent_hands_off_to_slsqp(self, monkeypatch, fig7_problem):
+        from repro.core import optimizer
+        from repro.runtime import MetricsRegistry
+
+        problem = fig7_problem.with_budget(1.0)
+        options = OptimizerOptions(restarts=0, reduce=True)
+        reference = solve_optimal(problem, options)
+        monkeypatch.setattr(optimizer, "_NEWTON_MAX_ITERATIONS", 1)
+        metrics = MetricsRegistry()
+        capped = solve_optimal(problem, options, metrics=metrics)
+        snapshot = metrics.snapshot()
+        assert snapshot["counters"]["optimizer.newton_handoffs"] >= 1
+        assert "optimizer.slsqp_iterations" in snapshot["histograms"]
+        assert capped.is_feasible
+        assert capped.utility >= reference.utility - 1e-9 * abs(
+            reference.utility
+        )
