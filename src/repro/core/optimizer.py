@@ -7,7 +7,10 @@ The program is nonconvex (interference couples beamspots), so the solver
 supports multi-start: the first start is seeded from the ranking
 heuristic -- which Insight 1 says is close to the optimal structure --
 and further starts perturb it randomly.  The best feasible local optimum
-wins.
+wins.  Every start runs on every solve: a warm start (``sweep`` and the
+mobility experiment chain one through) is one more start ahead of the
+anchor, never a reason to drop it, so its best descent is never below
+the cold solve's.
 
 Variables are the scaled swings ``x[j, k] = I_sw[j, k] / I_sw,max`` in
 ``[0, 1]``; constraints are the per-TX total-swing bound (Eq. 6, linear)
@@ -34,7 +37,7 @@ counts these).
 Starts: in ``x``, and in ``q`` while the budget affords fewer full-swing
 TXs than there are RXs, the anchor is the heuristic's structure shrunk
 to ``0.8 * b + 5e-3`` (in the solve's own variables) and every start is
-scaled uniformly to ``budget_headroom`` of the budget.  In ``q`` from
+scaled uniformly to ``_BUDGET_HEADROOM`` of the budget.  In ``q`` from
 one full-swing TX per RX up -- where Insight 2 puts a near-binary
 optimum -- the anchor is the heuristic's binary point, and the anchor
 and the warm start get a ``1e-3`` floor and are fitted to the budget by
@@ -78,9 +81,10 @@ from .heuristic import RankingHeuristic
 from .problem import UTILITY_FLOOR, AllocationProblem
 from .reduction import ReductionPlan, plan_reduction
 
-#: Utility gain [nats] below which a descent counts as never having left
-#: its start (a descent ends within ~1e-9 of a stationary start).
-_STALL_TOLERANCE = 1e-6
+#: Fraction of the budget the uniformly scaled starts use: starting
+#: strictly inside the power constraint helps SLSQP.  Starts fitted by
+#: shedding fill the budget.
+_BUDGET_HEADROOM = 0.9
 
 #: Projected Newton iterations per power-domain descent before SLSQP
 #: continues from the point reached.
@@ -116,21 +120,16 @@ class OptimizerOptions:
         tolerance: SLSQP convergence tolerance.
         utility_floor: throughput floor [bit/s] inside the log utility.
         seed: RNG seed for the perturbed starts.
-        budget_headroom: fraction of the budget the uniformly scaled
-            initial points use (starting strictly inside the power
-            constraint helps SLSQP); starts fitted by shedding (see the
-            module docstring) fill the budget.
-        reduce: solve the SJR-pruned reduced program first, falling back
-            to the full program when its utility check fails.
-        reduction_margin: safety margin on the budget-affordable prefix
-            (K grows by this fraction; see :func:`plan_reduction`).
-        reduction_min_extra: minimum extra TXs kept beyond the prefix.
+        reduce: solve the SJR-pruned reduced program first (pruned by
+            :func:`plan_reduction` with its defaults), falling back to
+            the full program when its utility check fails.
         reduction_utility_slack: absolute utility slack below the
             ranking-heuristic reference that triggers the fallback.
-        warm_start: optional (N, M) swing matrix [A] used as the first
-            initial point (fitted to the budget like the anchor); this is how
-            the serving layer and mobility sweeps seed the descents from the
-            nearest cached allocation.
+        warm_start: optional (N, M) swing matrix [A] used as an extra
+            first start (fitted to the budget like the anchor), ahead of
+            the anchor and restarts; :meth:`ContinuousOptimizer.sweep`
+            and the mobility experiment chain the previous solution
+            through it.
         deadline: optional absolute :func:`time.monotonic` timestamp;
             the objective raises :class:`~repro.errors.DeadlineExceeded`
             at its first evaluation past it.  The serving layer fills it
@@ -142,10 +141,7 @@ class OptimizerOptions:
     tolerance: float = 1e-10
     utility_floor: float = UTILITY_FLOOR
     seed: Optional[int] = 0
-    budget_headroom: float = 0.9
     reduce: bool = False
-    reduction_margin: float = 0.5
-    reduction_min_extra: int = 2
     reduction_utility_slack: float = 1e-6
     warm_start: Optional[np.ndarray] = None
     deadline: Optional[float] = None
@@ -160,18 +156,6 @@ class OptimizerOptions:
         if self.utility_floor <= 0:
             raise OptimizationError(
                 f"utility floor must be positive, got {self.utility_floor}"
-            )
-        if not 0.0 < self.budget_headroom <= 1.0:
-            raise OptimizationError(
-                f"budget headroom must be in (0, 1], got {self.budget_headroom}"
-            )
-        if self.reduction_margin < 0:
-            raise OptimizationError(
-                f"reduction margin must be >= 0, got {self.reduction_margin}"
-            )
-        if self.reduction_min_extra < 0:
-            raise OptimizationError(
-                f"reduction_min_extra must be >= 0, got {self.reduction_min_extra}"
             )
         if self.warm_start is not None:
             warm = np.asarray(self.warm_start, dtype=float)
@@ -480,7 +464,9 @@ class ContinuousOptimizer:
     type); when provided, the self times of the ``prune`` /
     ``reduced_solve`` / ``full_solve`` stages land in its
     ``stage.self_seconds`` histogram and reduction/fallback counts
-    under ``optimizer.*`` names.
+    under ``optimizer.*`` names.  :meth:`solve` and :meth:`sweep` run
+    the same starts; ``sweep`` also chains each budget's answer into the
+    next as its warm start.
     """
 
     def __init__(
@@ -524,10 +510,10 @@ class ContinuousOptimizer:
 
         Each budget's solution seeds the next one, which both speeds the
         sweep up and produces the smooth swing trajectories of Fig. 9.
-        The anchor and restarts run at every budget even when the warm
-        start dominates them: the figures this sweep feeds must match
-        per-budget solves, and a warm descent cannot switch on the new
-        beamspots a larger budget affords.
+        The warm start is one more start: the anchor and restarts still
+        run at every budget, so no rung ends below its per-budget solve,
+        and a warm descent cannot switch on the new beamspots a larger
+        budget affords.
         """
         allocations: List[Allocation] = []
         previous: Optional[np.ndarray] = None
@@ -548,9 +534,7 @@ class ContinuousOptimizer:
                 else self.options
             )
             try:
-                allocation = self._solve_instance(
-                    scoped, options, skip_dominated=False
-                )
+                allocation = self._solve_instance(scoped, options)
             except OptimizationError as error:
                 raise OptimizationError(
                     f"the optimizer failed at budget {budget} in the sweep"
@@ -571,7 +555,6 @@ class ContinuousOptimizer:
         self,
         problem: AllocationProblem,
         options: OptimizerOptions,
-        skip_dominated: bool = True,
     ) -> Allocation:
         # Iterations and the objective trajectory accrue over every
         # descent of the solve and land on the enclosing solve span,
@@ -580,7 +563,7 @@ class ContinuousOptimizer:
         self._newton_iterations = 0
         self._trajectory = [] if current_span() is not None else None
         try:
-            return self._solve_stages(problem, options, skip_dominated)
+            return self._solve_stages(problem, options)
         finally:
             if self._trajectory is not None:
                 add_span_attributes(
@@ -593,7 +576,6 @@ class ContinuousOptimizer:
         self,
         problem: AllocationProblem,
         options: OptimizerOptions,
-        skip_dominated: bool,
     ) -> Allocation:
         heuristic = RankingHeuristic().solve(problem)
         # Eq. 5 runs once per candidate: the heuristic's utility here,
@@ -601,11 +583,7 @@ class ContinuousOptimizer:
         heuristic_utility = heuristic.utility
         if options.reduce:
             with stage("prune", self._stages.get("prune")):
-                plan = plan_reduction(
-                    problem,
-                    margin=options.reduction_margin,
-                    min_extra=options.reduction_min_extra,
-                )
+                plan = plan_reduction(problem)
             if plan is not None:
                 self._count("optimizer.reduced_solves")
                 add_span_attributes(reduction_k=int(plan.num_pairs))
@@ -618,12 +596,7 @@ class ContinuousOptimizer:
                     )
                 with stage("reduced_solve", self._stages.get("reduced_solve")):
                     best, utility = self._best_over_starts(
-                        problem,
-                        options,
-                        heuristic,
-                        heuristic_utility,
-                        plan,
-                        skip_dominated,
+                        problem, options, heuristic, plan
                     )
                 if best is not None and utility >= (
                     heuristic_utility - options.reduction_utility_slack
@@ -636,14 +609,7 @@ class ContinuousOptimizer:
                 # solve failed -- run the full program.
                 self._count("optimizer.fallbacks")
         with stage("full_solve", self._stages.get("full_solve")):
-            best, _ = self._best_over_starts(
-                problem,
-                options,
-                heuristic,
-                heuristic_utility,
-                None,
-                skip_dominated,
-            )
+            best, _ = self._best_over_starts(problem, options, heuristic, None)
         if best is None:
             raise OptimizationError(
                 "the optimizer failed to produce a feasible allocation from "
@@ -656,13 +622,10 @@ class ContinuousOptimizer:
         problem: AllocationProblem,
         options: OptimizerOptions,
         heuristic: Allocation,
-        heuristic_utility: float,
         plan: Optional[ReductionPlan],
-        skip_dominated: bool,
     ) -> Tuple[Optional[np.ndarray], float]:
         """The best feasible local optimum over the starts, and its utility."""
         support = _Support(problem, options, plan)
-        max_swing = problem.led.max_swing
         starts: List[np.ndarray] = []
         if options.warm_start is not None:
             warm = np.asarray(options.warm_start, dtype=float)
@@ -671,49 +634,12 @@ class ContinuousOptimizer:
                     f"warm start shape {warm.shape} does not match problem "
                     f"shape {problem.channel.shape}"
                 )
-            point = support.restrict(warm / max_swing)
+            point = support.restrict(warm / problem.led.max_swing)
             starts.append(
                 self._shed_to_budget(np.maximum(point, _Q_FLOOR), support)
                 if self._sheds(problem, support)
-                else self._fit_budget(problem, point, support, options)
+                else self._fit_budget(problem, point, support)
             )
-            if skip_dominated and problem.utility(warm) >= heuristic_utility:
-                # The warm start already dominates the ranking anchor:
-                # every remaining start is the anchor or a perturbation
-                # of it, and each one costs a full descent toward
-                # a solution the warm point starts at or above.
-                start = support.expand(
-                    starts[0], problem.num_transmitters, problem.num_receivers
-                )
-                start_utility = problem.utility(start * max_swing)
-                best, utility = self._best_from(
-                    problem, starts, support, options
-                )
-                if best is not None and (
-                    utility > start_utility + _STALL_TOLERANCE
-                ):
-                    if self.metrics is not None:
-                        self.metrics.counter(
-                            "optimizer.starts_skipped"
-                        ).increment(1 + options.restarts)
-                    return best, utility
-                # The skip is a speed-up only: it must never fail, or
-                # land lower, where the full start set would not.  Fall
-                # back to the anchor and restarts when the lone warm
-                # descent ended infeasible, or never left its start --
-                # in x the utility gradient of a swing is proportional
-                # to the swing, so a warm point with zero entries cannot
-                # switch on the beamspots a larger budget affords.
-                if self.metrics is not None:
-                    self.metrics.counter("optimizer.skip_fallbacks").increment()
-                return self._best_from(
-                    problem,
-                    self._anchor_points(problem, options, heuristic, support),
-                    support,
-                    options,
-                    best,
-                    utility,
-                )
         starts.extend(self._anchor_points(problem, options, heuristic, support))
         return self._best_from(problem, starts, support, options)
 
@@ -723,13 +649,13 @@ class ContinuousOptimizer:
         starts: List[np.ndarray],
         support: _Support,
         options: OptimizerOptions,
-        best: Optional[np.ndarray] = None,
-        best_utility: float = -math.inf,
     ) -> Tuple[Optional[np.ndarray], float]:
-        """The best feasible local optimum over *starts* and *best*.
+        """The best feasible local optimum over *starts*.
 
         Returns it with its utility, so callers never re-evaluate Eq. 5.
         """
+        best: Optional[np.ndarray] = None
+        best_utility = -math.inf
         for x0 in starts:
             swings = self._solve_from(problem, x0, support, options)
             if swings is None:
@@ -759,9 +685,7 @@ class ContinuousOptimizer:
             # floor sits in the solve's own variables: squared from x
             # (2.5e-5 in q) it lets low-budget solves settle on optima
             # that serve one RX.
-            anchor = self._fit_budget(
-                problem, base * 0.8 + 5e-3, support, options
-            )
+            anchor = self._fit_budget(problem, base * 0.8 + 5e-3, support)
         points = [anchor]
 
         # Perturbed restarts, drawn around the anchor in x.
@@ -769,7 +693,7 @@ class ContinuousOptimizer:
         for _ in range(options.restarts):
             noise = rng.uniform(0.0, 0.3, size=support.num_pairs)
             candidate = support.to_domain(np.clip(seeded + noise, 1e-4, 1.0))
-            points.append(self._fit_budget(problem, candidate, support, options))
+            points.append(self._fit_budget(problem, candidate, support))
         return points
 
     @staticmethod
@@ -803,16 +727,13 @@ class ContinuousOptimizer:
         q[order] -= np.clip(excess - (np.cumsum(room) - room), 0.0, room)
         return q
 
+    @staticmethod
     def _fit_budget(
-        self,
-        problem: AllocationProblem,
-        x: np.ndarray,
-        support: _Support,
-        options: OptimizerOptions,
+        problem: AllocationProblem, x: np.ndarray, support: _Support
     ) -> np.ndarray:
         """Scale a candidate so it strictly satisfies both constraints."""
         x = np.clip(np.asarray(x, dtype=float), 0.0, 1.0)
-        target = problem.power_budget * options.budget_headroom
+        target = problem.power_budget * _BUDGET_HEADROOM
         if support.power_domain:
             # One variable per TX in [0, 1]: Eq. 6 holds, power is linear.
             power = support.power(x)

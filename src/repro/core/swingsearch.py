@@ -9,9 +9,8 @@ discrete space of *assignments* ``a[j] in {off, 0..M-1}``:
 
 1. **Seed** -- Algorithm 1's SJR ranking (:func:`rank_transmitters`)
    truncated to the power budget, exactly the ranking heuristic's
-   allocation.  A warm-start swing matrix (the serving layer's nearest
-   cached allocation) is projected onto the assignment space and used
-   instead when it scores better.
+   allocation.  The seed always fits the budget, and every solve starts
+   from it: the search is a pure function of the problem and options.
 2. **Steepest-ascent local search** -- every round evaluates all
    single moves (switch a TX off, switch one on toward an RX, reassign
    a TX to a different RX) plus off+on *swap* pairs, applies the best
@@ -26,15 +25,12 @@ discrete space of *assignments* ``a[j] in {off, 0..M-1}``:
    in one broadcast through the same Eq.-12 arithmetic the runtime's
    vectorized stacks use
    (:func:`repro.channel.stacks.utility_from_amplitude_components`).
-4. **Repair** -- an over-budget state (an aggressive warm start, a
-   budget shrink) is repaired by repeatedly switching off the active TX
-   whose removal costs the least utility until the budget holds.
 
 The candidate space is pruned the same way the SLSQP tier is
 (:func:`~repro.core.reduction.plan_reduction`): only the SJR-ranked
-pairs the budget can plausibly afford are considered, with seed and
-warm-start pairs always kept so the search can never be walled off
-from its own starting point.  Ties between equally good moves break by
+pairs the budget can plausibly afford are considered, with the seed's
+pairs always kept so the search can never be walled off from its own
+starting point.  Ties between equally good moves break by
 blake2b digest of the move coordinates -- fully deterministic, never
 dependent on ``PYTHONHASHSEED`` or iteration order of a set.
 
@@ -80,12 +76,8 @@ class SwingSearchOptions:
         utility_floor: throughput floor [bit/s] inside the log utility.
         reduce: prune the candidate (TX, RX) pairs to the SJR-ranked
             prefix the budget can afford (:func:`plan_reduction`), as
-            the SLSQP tier does; seed and warm-start pairs are always
-            kept.
-        reduction_margin / reduction_min_extra: forwarded to
-            :func:`plan_reduction`.
-        warm_start: optional (N, M) swing matrix [A]; its binary
-            projection replaces the ranking seed when it scores better.
+            the SLSQP tier does, with :func:`plan_reduction`'s
+            defaults; the seed's pairs are always kept.
         deadline: optional absolute :func:`time.monotonic` timestamp;
             the search raises :class:`~repro.errors.DeadlineExceeded`
             at the first round that starts past it.
@@ -97,9 +89,6 @@ class SwingSearchOptions:
     seed: int = 0
     utility_floor: float = UTILITY_FLOOR
     reduce: bool = True
-    reduction_margin: float = 0.5
-    reduction_min_extra: int = 2
-    warm_start: Optional[np.ndarray] = None
     deadline: Optional[float] = None
 
     def __post_init__(self) -> None:
@@ -115,14 +104,6 @@ class SwingSearchOptions:
             raise OptimizationError(
                 f"utility floor must be positive, got {self.utility_floor}"
             )
-        if self.warm_start is not None:
-            warm = np.asarray(self.warm_start, dtype=float)
-            if warm.ndim != 2:
-                raise OptimizationError(
-                    f"warm start must be an (N, M) swing matrix, got shape "
-                    f"{warm.shape}"
-                )
-            object.__setattr__(self, "warm_start", warm)
 
 
 class _SearchState:
@@ -175,13 +156,12 @@ class SwingSearchSolver:
 
     *metrics* is an optional
     :class:`repro.runtime.metrics.MetricsRegistry`-compatible object;
-    the self times of the ``swing_seed`` / ``swing_repair`` /
-    ``swing_search`` stages land in its ``stage.self_seconds``
-    histogram and the accepted-move/iteration counters under
-    ``optimizer.swing.*``.  When
-    a trace span is active the solve annotates it with iteration/flip
-    counts and a downsampled objective trajectory, mirroring the SLSQP
-    tier's solve-span attributes.
+    the self times of the ``swing_seed`` / ``swing_search`` stages land
+    in its ``stage.self_seconds`` histogram and the accepted-move/iteration
+    counters under ``optimizer.swing.*``.  When a trace span is active
+    the solve annotates it with iteration/flip counts and a downsampled
+    objective trajectory, mirroring the SLSQP tier's solve-span
+    attributes.  Every solve starts from the ranking seed.
     """
 
     def __init__(
@@ -194,7 +174,7 @@ class SwingSearchSolver:
         self._stages: Dict[str, Any] = (
             {
                 key: metrics.histogram("stage.self_seconds", stage=key)
-                for key in ("swing_seed", "swing_repair", "swing_search")
+                for key in ("swing_seed", "swing_search")
             }
             if metrics is not None
             else {}
@@ -229,18 +209,6 @@ class SwingSearchSolver:
         state = _SearchState(gains)
         for tx, rx in seed_allocation.assignments:
             state.switch_on(int(tx), int(rx))
-
-        warm_pairs = self._warm_projection(problem)
-        if warm_pairs is not None:
-            warm_state = _SearchState(gains)
-            for tx, rx in warm_pairs:
-                warm_state.switch_on(tx, rx)
-                allowed[tx, rx] = True
-            with stage("swing_repair", self._stages.get("swing_repair")):
-                self._repair(warm_state, capacity)
-            if self._utility(problem, warm_state) > self._utility(problem, state):
-                self._count("optimizer.swing.warm_seeds")
-                state = warm_state
 
         with stage("swing_search", self._stages.get("swing_search")):
             iterations, flips, swaps, trajectory = self._ascend(
@@ -285,12 +253,7 @@ class SwingSearchSolver:
         """
         usable = problem.channel > 0.0
         if self.options.reduce:
-            plan = plan_reduction(
-                problem,
-                kappa=self.options.kappa,
-                margin=self.options.reduction_margin,
-                min_extra=self.options.reduction_min_extra,
-            )
+            plan = plan_reduction(problem, kappa=self.options.kappa)
             if plan is not None:
                 mask = np.zeros_like(usable)
                 mask[plan.tx_indices, plan.rx_indices] = True
@@ -304,35 +267,6 @@ class SwingSearchSolver:
                     )
                 return mask
         return usable.copy()
-
-    def _warm_projection(
-        self, problem: AllocationProblem
-    ) -> Optional[List[Assignment]]:
-        """The warm-start matrix projected onto the assignment space.
-
-        Each TX with positive total swing maps to its argmax RX; TXs are
-        kept in decreasing order of total swing (the repair step trims
-        any budget overshoot afterwards).
-        """
-        warm = self.options.warm_start
-        if warm is None:
-            return None
-        if warm.shape != problem.channel.shape:
-            raise OptimizationError(
-                f"warm start shape {warm.shape} does not match problem "
-                f"shape {problem.channel.shape}"
-            )
-        per_tx = np.asarray(warm, dtype=float).sum(axis=1)
-        active = np.nonzero(per_tx > 0.0)[0]
-        if active.size == 0:
-            return None
-        order = active[np.argsort(-per_tx[active], kind="stable")]
-        pairs: List[Assignment] = []
-        for tx in order:
-            rx = int(np.argmax(warm[tx]))
-            if problem.channel[tx, rx] > 0.0:
-                pairs.append((int(tx), rx))
-        return pairs or None
 
     # ------------------------------------------------------------------
     # Local search
@@ -348,30 +282,6 @@ class SwingSearchSolver:
                 self.options.utility_floor,
             )
         )
-
-    def _repair(self, state: _SearchState, capacity: int) -> None:
-        """Switch off least-valuable TXs until the budget holds (Eq. 7).
-
-        Each round evaluates every active TX's removal through the same
-        stacked objective the search uses and drops the one whose
-        removal costs the least utility (ties break by blake2b digest).
-        """
-        iteration = 0
-        while state.active_count > capacity:
-            active = np.nonzero(state.assignment != OFF)[0]
-            served = state.assignment[active]
-            totals = state.total[None, :] - state.gains[active]
-            signals = np.repeat(state.signal[None, :], active.size, axis=0)
-            signals[np.arange(active.size), served] -= state.gains[active, served]
-            utilities = self._stack_utility(signals, totals)
-            moves = [
-                (_MOVE_OFF, int(tx), -1, int(rx))
-                for tx, rx in zip(active, served)
-            ]
-            best = self._pick_best(utilities, moves, iteration)
-            state.switch_off(moves[best][1])
-            self._count("optimizer.swing.repairs")
-            iteration += 1
 
     def _stack_utility(self, signals: np.ndarray, totals: np.ndarray) -> np.ndarray:
         return np.asarray(

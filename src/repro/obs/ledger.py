@@ -81,7 +81,7 @@ class PerfReport:
     workloads and :func:`diff_reports` refuses it.  ``counters`` is the
     serving stack's counter snapshot at the end of the run (summed over
     shards for the cluster): coalescing, dispatches, shedding by
-    reason, incremental channel updates, warm starts, resilience.
+    reason, incremental channel updates, resilience.
     Entries written before ``counters`` existed load with an empty
     dict; older cluster entries carry a ``p99_latency_ms`` of 0.0.
     """
@@ -148,9 +148,8 @@ class PerfReport:
                 f"{counters.get('service.requests', 0) / dispatches:.1f})"
             )
         for key, value in sorted(counters.items()):
-            if key.startswith(("cluster.shed{", "resilience.")) or key in (
-                "service.channel_incremental",
-                "service.warm_starts",
+            if key.startswith(("cluster.shed{", "resilience.")) or (
+                key == "service.channel_incremental"
             ):
                 lines.append(f"{key:<35} {value:.0f}")
         for stage, self_ms in sorted(

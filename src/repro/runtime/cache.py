@@ -32,8 +32,8 @@ def _freeze_arrays(value: Any) -> Any:
     Cached values are handed out by reference to every hit; a consumer
     writing into one would silently corrupt every other consumer's view.
     Freezing turns that bug into an immediate ``ValueError`` at the
-    mutation site.  Consumers that need a private copy (warm-start
-    seeding, incremental column updates) already copy before writing.
+    mutation site.  Consumers that need a private copy (incremental
+    column updates) already copy before writing.
     """
     if isinstance(value, np.ndarray):
         value.setflags(write=False)

@@ -1,9 +1,9 @@
 """In-process execution of allocation solves.
 
 Every task is a pure function of ``(channel, budget, solver,
-parameters)``.  :class:`SolverPool` solves :class:`SolveTask` batches
-one after another in the calling thread and returns the results in
-submission order.
+parameters)``: no solve is seeded from an earlier answer.
+:class:`SolverPool` solves :class:`SolveTask` batches one after another
+in the calling thread and returns the results in submission order.
 
 A task's deadline reaches the solver itself: each evaluation of the
 ``optimal`` tier's objective, each swing-search round and each greedy
@@ -55,11 +55,6 @@ TraceParents = Sequence[Optional[Span]]
 class SolveTask:
     """One allocation solve: a problem instance plus solver selection.
 
-    ``warm_start`` is an optional (N, M) swing matrix that seeds the
-    descents of the ``optimal`` solver and the combinatorial ``swing`` search
-    (where its binary projection competes with the ranked seed) -- the
-    serving layer fills it with the nearest cached allocation so
-    mobility-style traffic skips most of the solver iterations.
     ``reduce`` enables the SJR-pruned reduced-variable program /
     candidate-pair pruning (with automatic full-dimension fallback).
     ``led`` defaults to the scenes' LED (:func:`~repro.optics.cree_xte`,
@@ -68,7 +63,7 @@ class SolveTask:
 
     ``deadline`` is an absolute :func:`time.monotonic` timestamp (the
     request's remaining budget, set by the service).  It reaches the
-    solver the way ``warm_start`` does, and the solver raises
+    solver through its options, and the solver raises
     :class:`~repro.errors.DeadlineExceeded` at its first checkpoint past
     it.  ``faults``/``fault_key`` hook the seedable chaos harness
     (:class:`FaultPlan`) into the solve.
@@ -82,7 +77,6 @@ class SolveTask:
     led: LEDModel = field(default_factory=cree_xte)
     photodiode: Photodiode = field(default_factory=s5971)
     noise: AWGNNoise = field(default_factory=AWGNNoise)
-    warm_start: Optional[np.ndarray] = None
     reduce: bool = True
     deadline: Optional[float] = None
     faults: Optional[FaultPlan] = None
@@ -102,7 +96,6 @@ class SolveTask:
             restarts=0,
             seed=self.seed,
             reduce=self.reduce,
-            warm_start=self.warm_start,
             deadline=self.deadline,
         )
 
@@ -111,7 +104,6 @@ class SolveTask:
             kappa=self.kappa,
             seed=self.seed,
             reduce=self.reduce,
-            warm_start=self.warm_start,
             deadline=self.deadline,
         )
 
@@ -249,7 +241,6 @@ class SolverPool:
         with stage(
             "solve", self._solve_stage.get(task.solver), parents=parents,
             solver=task.solver, attempt=attempt, reduce=task.reduce,
-            warm_started=task.warm_start is not None,
         ):
             try:
                 return solve_task(task, metrics=self.metrics, attempt=attempt)
@@ -295,7 +286,6 @@ class SolverPool:
             degraded_task = replace(
                 task,
                 solver=fallback,
-                warm_start=None,
                 deadline=None if last else task.deadline,
             )
             try:

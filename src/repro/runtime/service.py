@@ -4,10 +4,11 @@
 request names receiver positions, a power budget and a solver; the
 service quantizes the placement into a cache key, computes LOS channel
 matrices for all cache-missing placements in one batched broadcast,
-solves each distinct cache-missing allocation once, evaluates the
-resulting throughputs as one allocation stack, and reports everything
-through the metrics registry.  ``python -m repro replay`` drives it
-with a recorded scenario trace and prints latency percentiles.
+solves each distinct cache-missing allocation once, cold, evaluates
+the resulting throughputs as one allocation stack, and reports
+everything through the metrics registry.  ``python -m repro replay``
+drives it with a recorded scenario trace and prints latency
+percentiles.
 """
 
 from __future__ import annotations
@@ -171,13 +172,8 @@ class ServiceOptions:
             capacities of the channel-matrix and solved-allocation
             caches.
         quantum: placement quantization step [m] of the cache keys.
-        warm_start: seed optimal-mode SLSQP solves from the nearest
-            previously solved placement (within ``warm_start_radius``)
-            instead of the cold heuristic seed.
-        warm_start_radius: maximum per-RX displacement [m] for a cached
-            allocation to qualify as a warm-start neighbor.
         neighborhood_memory: recently served placements remembered for
-            warm-start and incremental-channel neighbor lookups.
+            incremental-channel neighbor lookups.
         incremental_channel: when a cache-missing placement differs from
             a remembered one in only some receivers, recompute just those
             columns of the channel matrix instead of the full rebuild.
@@ -189,8 +185,6 @@ class ServiceOptions:
     channel_cache_capacity: int = 256
     allocation_cache_capacity: int = 1024
     quantum: float = FINGERPRINT_QUANTUM
-    warm_start: bool = True
-    warm_start_radius: float = 1.5
     neighborhood_memory: int = 64
     incremental_channel: bool = True
     faults: Optional[FaultPlan] = None
@@ -199,10 +193,6 @@ class ServiceOptions:
         if self.quantum <= 0:
             raise RuntimeEngineError(
                 f"quantum must be positive, got {self.quantum}"
-            )
-        if self.warm_start_radius < 0:
-            raise RuntimeEngineError(
-                f"warm-start radius must be >= 0, got {self.warm_start_radius}"
             )
         if self.neighborhood_memory < 1:
             raise RuntimeEngineError(
@@ -218,7 +208,9 @@ class AllocationService:
     requests vary the receiver placement, budget and solver.  Channel
     matrices and solved allocations are cached under position-quantized
     keys, cache-missing channels are computed in one broadcast, and
-    each distinct cache-missing allocation is solved once.
+    each distinct cache-missing allocation is solved once.  Every solve
+    is cold: its answer depends only on the channel, the budget, the
+    tier and kappa, never on what the service served before.
     """
 
     def __init__(
@@ -264,17 +256,13 @@ class AllocationService:
                 "throughput",
             )
         }
-        # Both neighbor memories are shared by every thread serving
-        # through this service: they are read as snapshots taken under
-        # this lock, and all numpy work happens outside it.
+        # The neighbor memory is shared by every thread serving through
+        # this service: it is read as a snapshot taken under this lock,
+        # and all numpy work happens outside it.
         self._memory_lock = monitored_lock("service.memory")
         # Recently served placements: key -> (M, 2) positions, used to
-        # find incremental-channel and warm-start neighbors.
+        # find incremental-channel neighbors.
         self._placement_memory: "OrderedDict[str, np.ndarray]" = OrderedDict()
-        # Solved optimal-mode allocations: key -> (positions, swings).
-        self._warm_memory: "OrderedDict[Tuple, Tuple[np.ndarray, np.ndarray]]" = (
-            OrderedDict()
-        )
 
     # ------------------------------------------------------------------
 
@@ -644,58 +632,15 @@ class AllocationService:
                     span.attributes.update(meta)
         return channels, placement_keys, channel_hits
 
-    def _warm_start_for(
-        self, solver: str, positions: np.ndarray
-    ) -> Optional[np.ndarray]:
-        """The nearest cached allocation's swings, or None.
-
-        "Nearest" is the smallest worst-case receiver displacement across
-        the warm-start memory; entries farther than
-        ``warm_start_radius`` on any receiver do not qualify.
-        """
-        best: Optional[np.ndarray] = None
-        best_distance = self.options.warm_start_radius
-        with self._memory_lock:
-            remembered = list(self._warm_memory.items())
-        for entry_key, (entry_positions, entry_swings) in reversed(remembered):
-            if entry_key[2] != solver:
-                continue
-            if entry_positions.shape != positions.shape:
-                # A different receiver count must never qualify: the
-                # subtraction below would broadcast instead of erroring
-                # and could seed a wrong-shaped start into the solver.
-                continue
-            distance = float(
-                np.max(np.linalg.norm(entry_positions - positions, axis=1))
-            )
-            if distance <= best_distance:
-                best = entry_swings
-                best_distance = distance
-        return best
-
-    def _remember_allocation(
-        self, key: Tuple, positions: np.ndarray, swings: np.ndarray
-    ) -> None:
-        memory = self._warm_memory
-        with self._memory_lock:
-            if key in memory:
-                memory.move_to_end(key)
-            memory[key] = (positions, swings)
-            while len(memory) > self.options.neighborhood_memory:
-                memory.popitem(last=False)
-
     def _allocation_stage(
         self, requests, placement_keys, channels, deadlines, parents=None
     ):
         """Resolve every request's allocation, solving the misses.
 
-        Optimal-mode misses are seeded from the nearest previously solved
-        placement (the warm-start pipeline); results feed back into the
-        neighborhood memory for the next request.  Each miss group's
-        solve carries the tightest deadline of its requests into the
-        pool; degraded outcomes (fallback solver, expired deadline) are
-        flagged on the results and kept out of the caches so a healthy
-        retry is never served a degraded allocation.
+        Each miss group's solve carries the tightest deadline of its
+        requests into the pool; degraded outcomes (fallback solver,
+        expired deadline) are flagged on the results and kept out of the
+        caches so a healthy retry is never served a degraded allocation.
 
         The window is one ``allocation`` stage (labelled ``miss`` when
         anything was solved) with a ``cache`` stage per lookup and the
@@ -756,21 +701,8 @@ class AllocationService:
             len(miss_slots)
         )
         tasks = []
-        miss_positions: List[np.ndarray] = []
         for key, slots in miss_slots.items():
             request = requests[slots[0]]
-            positions = np.array(request.rx_positions_xy, dtype=float)
-            miss_positions.append(positions)
-            warm = None
-            # Warm starts seed SLSQP (optimal) and compete with the
-            # ranked seed of the swing search.
-            if (
-                self.options.warm_start
-                and request.solver in ("optimal", "swing")
-            ):
-                warm = self._warm_start_for(request.solver, positions)
-                if warm is not None:
-                    self.metrics.counter("service.warm_starts").increment()
             group_deadline = min(
                 (deadlines[i] for i in slots),
                 key=lambda d: d.expires_at,
@@ -784,7 +716,6 @@ class AllocationService:
                     led=self.scene.led,
                     photodiode=self.scene.receivers[0].photodiode,
                     noise=self.noise,
-                    warm_start=warm,
                     deadline=(
                         group_deadline.expires_at
                         if group_deadline.bounded
@@ -802,17 +733,13 @@ class AllocationService:
                 else None
             ),
         )
-        for outcome, positions, task, (key, slots) in zip(
-            solved, miss_positions, tasks, miss_slots.items()
-        ):
+        for outcome, task, (key, slots) in zip(solved, tasks, miss_slots.items()):
             matrix = outcome.swings
             if not outcome.degraded:
                 # Degraded results stay out of the caches: a later
                 # healthy solve under the same key must not inherit
                 # a timed-out fallback allocation.
                 self._allocation_cache.put(key, matrix)
-                if key[2] in ("optimal", "swing"):
-                    self._remember_allocation(key, positions, matrix)
             for i in slots:
                 swings[i] = matrix
                 outcomes[i] = outcome
@@ -822,7 +749,6 @@ class AllocationService:
                         solver_used=outcome.solver,
                         degraded=outcome.degraded,
                         deadline_exceeded=outcome.deadline_exceeded,
-                        warm_started=task.warm_start is not None,
                         reduce=task.reduce,
                     )
 

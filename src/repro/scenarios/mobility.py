@@ -7,14 +7,15 @@ count.  Receivers move in staggered phases: at each epoch only the
 receivers whose turn it is advance along their trajectory, the rest hold
 position.  That is deliberate -- a request whose placement differs from
 the previous epoch's in only *some* receivers is exactly what the
-runtime's incremental channel update (``channel_matrix_update``) and
-warm-start neighborhood were built for, so these traces exercise both at
-fleet scale.
+runtime's incremental channel update (``channel_matrix_update``) was
+built for, so these traces exercise it at fleet scale.  Every solve is
+cold: the allocation depends only on the placement's channel, the
+budget and the tier.
 
 Two scenarios register here:
 
 - ``waypoint-fleet`` -- 24 receivers on seeded random-waypoint paths,
-  solved with the ``swing`` tier (warm-startable, milliseconds);
+  solved with the ``swing`` tier (milliseconds per solve);
 - ``hotspot-fleet`` -- 32 receivers dwelling around three attraction
   points (:class:`~repro.geometry.HotspotModel`); dwells produce repeat
   placements, the cache/coalescing end of the spectrum.

@@ -576,110 +576,79 @@ class TestAllocationService:
 
 
 # ----------------------------------------------------------------------
-# warm-start neighborhood edge cases
+# served allocations against cold core solves
 # ----------------------------------------------------------------------
 
 
-class TestWarmStartNeighborhood:
-    """_warm_start_for boundary behavior, driven via _remember_allocation."""
+class TestServedEqualsCold:
+    """Every served solve is the core's cold solve of the same problem.
 
-    def _positions(self, *points):
-        return np.array(points, dtype=float)
+    Seeds 0 and 3 x ten Fig. 6 placements walk the coarse Fig. 9 rungs
+    top-down and bottom-up, each walk on a fresh service, so every rung
+    follows a neighbour the service has just solved.  Each served
+    ``optimal`` and ``swing`` allocation must be bit-identical to
+    ``solve_optimal``/``solve_swing`` on the scene's problem at that
+    budget: what the service served before must not change the answer.
 
-    def _seed(self, service, tag, positions, swings, solver="optimal"):
-        service._remember_allocation(
-            (tag, 1.2, solver, None), positions, swings
+    Wall time: about 2 s on a 2-vCPU x86 box.
+    """
+
+    def test_served_allocations_equal_cold_solves(self):
+        from repro.core import (
+            OptimizerOptions,
+            SwingSearchOptions,
+            solve_optimal,
+            solve_swing,
         )
+        from repro.experiments.config import default_config
 
-    def test_exactly_at_radius_qualifies(self, base_scene):
-        service = AllocationService(
-            base_scene, options=ServiceOptions(warm_start_radius=1.5)
-        )
-        query = self._positions((1.0, 1.0), (2.0, 2.0))
-        swings = np.full(4, 0.25)
-        # every receiver displaced by exactly the radius
-        self._seed(service, "edge", query + np.array([1.5, 0.0]), swings)
-        found = service._warm_start_for("optimal", query)
-        np.testing.assert_array_equal(found, swings)
-
-    def test_beyond_radius_does_not_qualify(self, base_scene):
-        service = AllocationService(
-            base_scene, options=ServiceOptions(warm_start_radius=1.5)
-        )
-        query = self._positions((1.0, 1.0), (2.0, 2.0))
-        self._seed(
-            service, "far", query + np.array([1.5 + 1e-6, 0.0]), np.ones(4)
-        )
-        assert service._warm_start_for("optimal", query) is None
-
-    def test_zero_radius_requires_exact_positions(self, base_scene):
-        service = AllocationService(
-            base_scene, options=ServiceOptions(warm_start_radius=0.0)
-        )
-        query = self._positions((1.0, 1.0), (2.0, 2.0))
-        exact = np.full(4, 0.5)
-        self._seed(service, "exact", query.copy(), exact)
-        self._seed(service, "near", query + 1e-9, np.ones(4))
-        np.testing.assert_array_equal(
-            service._warm_start_for("optimal", query), exact
-        )
-
-    def test_receiver_count_mismatch_never_qualifies(self, base_scene):
-        # Pre-fix, a remembered placement with a different receiver
-        # count could broadcast through the distance computation and
-        # seed a wrong-shaped warm start into the solver.
-        service = AllocationService(base_scene)
-        query = self._positions((1.0, 1.0), (2.0, 2.0), (3.0, 1.5))
-        self._seed(service, "one", self._positions((1.0, 1.0)), np.ones(4))
-        assert service._warm_start_for("optimal", query) is None
-
-    def test_solver_mismatch_never_qualifies(self, base_scene):
-        service = AllocationService(base_scene)
-        query = self._positions((1.0, 1.0), (2.0, 2.0))
-        self._seed(service, "h", query.copy(), np.ones(4), solver="swing")
-        assert service._warm_start_for("optimal", query) is None
-        np.testing.assert_array_equal(
-            service._warm_start_for("swing", query), np.ones(4)
-        )
-
-    def test_property_nearest_within_radius(self, base_scene):
-        """Seeded sweep: the result always matches brute force.
-
-        The returned swings must belong to an entry at the minimal
-        worst-case receiver displacement, and None is returned exactly
-        when no same-shape entry lies within the radius.
-        """
-        radius = 0.8
-        service = AllocationService(
-            base_scene, options=ServiceOptions(warm_start_radius=radius)
-        )
-        rng = np.random.default_rng(17)
-        entries = []
-        for i in range(24):
-            positions = rng.uniform(0.0, 5.0, size=(3, 2))
-            swings = np.full(4, float(i))
-            entries.append((positions, swings))
-            self._seed(service, f"e{i}", positions, swings)
-        for _ in range(50):
-            query = rng.uniform(0.0, 5.0, size=(3, 2))
-            distances = [
-                float(np.max(np.linalg.norm(p - query, axis=1)))
-                for p, _ in entries
-            ]
-            found = service._warm_start_for("optimal", query)
-            within = [d for d in distances if d <= radius]
-            if not within:
-                assert found is None
-            else:
-                best = min(within)
-                candidates = [
-                    s
-                    for (p, s), d in zip(entries, distances)
-                    if d == pytest.approx(best, abs=0.0)
-                ]
-                assert any(
-                    np.array_equal(found, swings) for swings in candidates
+        cfg = default_config()
+        budgets = list(cfg.coarse_budgets(12))
+        cold_solvers = {
+            "optimal": lambda problem: solve_optimal(
+                problem, OptimizerOptions(restarts=0, reduce=True)
+            ),
+            "swing": lambda problem: solve_swing(
+                problem, SwingSearchOptions(reduce=True)
+            ),
+        }
+        for seed in (0, 3):
+            for index, placement in enumerate(
+                fig6_instances(instances=10, seed=seed)
+            ):
+                positions = tuple((float(x), float(y)) for x, y in placement)
+                scene = cfg.simulation_scene_at(positions)
+                problem = AllocationProblem(
+                    channel=channel_matrix_stack(scene, np.array([positions]))[0],
+                    power_budget=budgets[-1],
+                    led=scene.led,
+                    photodiode=scene.receivers[0].photodiode,
+                    noise=cfg.noise,
                 )
+                cold = {
+                    (solver, budget): solve(problem.with_budget(budget)).swings
+                    for solver, solve in cold_solvers.items()
+                    for budget in budgets
+                }
+                for label, ladder in (
+                    ("top-down", budgets[::-1]), ("bottom-up", budgets)
+                ):
+                    service = AllocationService(scene, noise=cfg.noise)
+                    for budget in ladder:
+                        for solver in cold_solvers:
+                            result = service.handle(
+                                AllocationRequest(
+                                    positions, power_budget=budget, solver=solver
+                                )
+                            )
+                            assert not result.degraded
+                            assert np.array_equal(
+                                result.swings, cold[(solver, budget)]
+                            ), (
+                                f"seed {seed} placement {index} {label} "
+                                f"{solver} at {budget:.3f} W differs from "
+                                f"the cold solve"
+                            )
 
 
 # ----------------------------------------------------------------------
@@ -760,7 +729,7 @@ class TestHealthSnapshot:
 
     def test_concurrent_handle_shares_the_neighbor_memories(self):
         # Four threads serving through one service insert into the
-        # placement and warm-start memories while the others scan them;
+        # placement memory while the others scan it;
         # a near-zero switch interval makes the interleaving likely.
         import sys
         import threading

@@ -58,13 +58,6 @@ class TestOptions:
             SwingSearchOptions(tolerance=-1.0)
         with pytest.raises(OptimizationError):
             SwingSearchOptions(utility_floor=0.0)
-        with pytest.raises(OptimizationError):
-            SwingSearchOptions(warm_start=np.zeros(3))
-
-    def test_warm_start_shape_checked_at_solve(self, small_problem):
-        options = SwingSearchOptions(warm_start=np.zeros((3, 3)))
-        with pytest.raises(OptimizationError):
-            solve_swing(small_problem, options)
 
 
 class TestSolve:
@@ -149,39 +142,6 @@ class TestDeterminism:
         }
         assert picks[0] == solve_swing(problem, SwingSearchOptions(seed=0)).assignments
         assert picks[1] == solve_swing(problem, SwingSearchOptions(seed=1)).assignments
-
-
-class TestWarmStart:
-    def test_dominating_warm_start_adopted(self, fig7_problem):
-        best = solve_swing(fig7_problem)
-        metrics = MetricsRegistry()
-        warmed = solve_swing(
-            fig7_problem,
-            SwingSearchOptions(warm_start=best.swings),
-            metrics=metrics,
-        )
-        assert warmed.utility >= best.utility - 1e-12
-        counters = metrics.counters_with_prefix("optimizer.swing")
-        assert counters.get("optimizer.swing.warm_seeds", 0) == 1
-
-    def test_overbudget_warm_start_repaired(self, small_problem):
-        # Warm start turns on every TX -- far over the budget; the
-        # repair step must trim it back under the cardinality cap.
-        warm = np.zeros_like(small_problem.channel)
-        warm[:, 0] = small_problem.led.max_swing
-        allocation = solve_swing(
-            small_problem, SwingSearchOptions(warm_start=warm)
-        )
-        assert allocation.is_feasible
-
-    def test_useless_warm_start_ignored(self, small_problem):
-        baseline = solve_swing(small_problem)
-        # All-zero warm start projects to nothing and must not regress.
-        warmed = solve_swing(
-            small_problem,
-            SwingSearchOptions(warm_start=np.zeros_like(small_problem.channel)),
-        )
-        assert warmed.utility == baseline.utility
 
 
 class TestMetrics:
